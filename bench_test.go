@@ -294,7 +294,7 @@ func BenchmarkAblationMCConvergence(b *testing.B) {
 	for _, samples := range []int{250, 1000, 4000} {
 		b.Run(itoa(samples), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := mc.TdpDistribution(e.Proc, litho.LE3, m, e.Cap, 64,
+				res, err := mc.TdpDistribution(context.Background(), e.Proc, litho.LE3, m, e.Cap, 64,
 					mc.Config{Samples: samples, Seed: 9})
 				if err != nil {
 					b.Fatal(err)

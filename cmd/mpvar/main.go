@@ -365,9 +365,8 @@ func serveMain(args []string) {
 	engineWorkers := fs.Int("engine-workers", 0, "worker count inside each run's engines (0 = all CPUs; never changes results)")
 	fanout := fs.Int("fanout", 0, "shard count heavy runs fan out into (0 = the pool size, 1 = disabled; never changes response bytes)")
 	fanoutMinSamples := fs.Int("fanout-min-samples", 0, "estimated-cost threshold (samples x workload cost hint) above which a run fans out (0 = 50000)")
-	fanoutExec := fs.String("fanout-exec", "goroutine", "shard execution vehicle: goroutine (in-process), process (mpvar shard children, crash-isolated) or remote (peer mpvar serve workers; needs -peers)")
 	fanoutDir := fs.String("fanout-dir", "", "scratch dir for shard artifacts and drain checkpoints (default <tmp>/mpvar-fanout; reuse it across restarts to resume)")
-	peers := fs.String("peers", "", "comma-separated peer mpvar serve workers (host:port or URLs) for -fanout-exec=remote")
+	peers := fs.String("peers", "", "comma-separated peer mpvar serve workers (host:port or URLs); shards then fan out to them instead of in-process goroutines")
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: mpvar serve [flags]\n\nserve the workload registry over HTTP/JSON (endpoints in API.md)\n\nflags:\n")
 		fs.SetOutput(os.Stderr)
@@ -377,24 +376,15 @@ func serveMain(args []string) {
 	if fs.NArg() > 0 {
 		fatal(fmt.Errorf("unexpected argument %q after serve", fs.Arg(0)))
 	}
-	if *fanoutExec != "goroutine" && *fanoutExec != "process" && *fanoutExec != "remote" {
-		fatal(fmt.Errorf("unknown -fanout-exec %q (goroutine, process or remote)", *fanoutExec))
-	}
 	var peerList []string
 	for _, p := range strings.Split(*peers, ",") {
 		if p = strings.TrimSpace(p); p != "" {
 			peerList = append(peerList, p)
 		}
 	}
-	if *fanoutExec == "remote" && len(peerList) == 0 {
-		fatal(fmt.Errorf("-fanout-exec=remote needs at least one -peers worker"))
-	}
-	if len(peerList) > 0 && *fanoutExec != "remote" {
-		fatal(fmt.Errorf("-peers only applies with -fanout-exec=remote"))
-	}
-	bin, err := os.Executable()
-	if err != nil {
-		bin = os.Args[0]
+	fanoutExec := "goroutine"
+	if len(peerList) > 0 {
+		fanoutExec = "remote"
 	}
 	srv := serve.New(serve.Config{
 		Workers:          *workers,
@@ -405,14 +395,13 @@ func serveMain(args []string) {
 		EngineWorkers:    *engineWorkers,
 		Fanout:           *fanout,
 		FanoutMinSamples: *fanoutMinSamples,
-		FanoutExec:       *fanoutExec,
+		FanoutExec:       fanoutExec,
 		Peers:            peerList,
 		FanoutDir:        *fanoutDir,
-		FanoutBinary:     bin,
 	})
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	err = srv.ListenAndServe(ctx, *addr, func(a net.Addr) {
+	err := srv.ListenAndServe(ctx, *addr, func(a net.Addr) {
 		fmt.Printf("mpvar serve: listening on http://%s\n", a)
 	})
 	if err != nil {

@@ -60,10 +60,7 @@
 // its usage, per-workload flags and smoke coverage from the registry;
 // registering a workload (one file with an init block — see
 // internal/exp/mcspicex.go for the template) adds its command, flags,
-// json output and CI smoke with no edits elsewhere. The pre-registry
-// Study methods (WorstCases, SigmaTable, …) remain as deprecation shims
-// over Run — same signatures, byte-identical results; the shim set is
-// frozen and new experiments appear only as workloads.
+// json output and CI smoke with no edits elsewhere.
 //
 // SPICE-in-the-loop draws are priced down by a paired estimator
 // (stats.ControlVariate, mc.RunVectorPaired): each trial measures tdp
@@ -149,22 +146,20 @@
 // (internal/serve/fanout.go): a submission whose estimated cost
 // (normalized samples × the workload's Hints.Cost weight) crosses a
 // threshold is dispatched as N concurrent shard executions — goroutines
-// by default, opt-in `mpvar shard` child processes (-fanout-exec=process)
-// whose crashes cost one shard attempt, not the server — and reduced
-// through the same exact left-fold replay, so the response body is
-// byte-identical to direct execution and lands in the same cache entry:
-// fan-out is pure execution detail, invisible in the run key (the
-// X-Mpvar-Fanout header is the only trace). The whole fan-out occupies
-// one executor slot; per-shard frontiers aggregate into one monotone SSE
-// progress stream; failed shards re-dispatch from their persisted
-// checkpoint; and a graceful drain cancels only fan-out runs, leaving
-// every shard's frontier checkpointed in -fanout-dir so a restarted
-// server pointed at the same directory resumes instead of recomputing
-// (CI proves the bytes, the drain checkpoints and the restart-resume
-// over the real binary).
+// by default — and reduced through the same exact left-fold replay, so
+// the response body is byte-identical to direct execution and lands in
+// the same cache entry: fan-out is pure execution detail, invisible in
+// the run key (the X-Mpvar-Fanout header is the only trace). The whole
+// fan-out occupies one executor slot; per-shard frontiers aggregate into
+// one monotone SSE progress stream; failed shards re-dispatch from their
+// persisted checkpoint; and a graceful drain cancels only fan-out runs,
+// leaving every shard's frontier checkpointed in -fanout-dir so a
+// restarted server pointed at the same directory resumes instead of
+// recomputing (CI proves the bytes, the drain checkpoints and the
+// restart-resume over the real binary).
 //
-// The third execution vehicle crosses machines (internal/remote,
-// -fanout-exec=remote): every `mpvar serve` process also mounts the
+// The second execution vehicle crosses machines (internal/remote,
+// selected by -peers): every `mpvar serve` process also mounts the
 // worker side of a shard fabric — POST /v1/shards accepts a normalized
 // RunSpec + ShardSpec (plus an optional checkpoint to resume), executes
 // it through the same core.RunShard in a bounded pool, and streams

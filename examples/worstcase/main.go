@@ -9,6 +9,7 @@ import (
 	"log"
 
 	"mpsram/internal/core"
+	"mpsram/internal/exp"
 	"mpsram/internal/extract"
 	"mpsram/internal/litho"
 	"mpsram/internal/tech"
@@ -47,13 +48,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("\nRelaxed 64 nm pitch stack:")
-	rows, err := study.WorstCases()
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, r := range rows {
-		fmt.Printf("  %-8v ΔCbl %+7.2f%%  ΔRbl %+6.2f%%\n", r.Option, r.CblPct, r.RblPct)
-	}
+	printTable1(study)
 
 	// Ablation: the crude plate+fringe capacitance model shifts absolute
 	// numbers but preserves the LE3 ≫ EUV/SADP ranking.
@@ -62,11 +57,17 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("\nStock N10 with the plate+fringe ablation model:")
-	rows2, err := study2.WorstCases()
+	printTable1(study2)
+}
+
+// printTable1 runs the Table I corner search through the workload registry
+// and prints its typed rows.
+func printTable1(study *core.Study) {
+	res, err := study.Run("table1", nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, r := range rows2 {
+	for _, r := range res.Data.([]exp.Table1Row) {
 		fmt.Printf("  %-8v ΔCbl %+7.2f%%  ΔRbl %+6.2f%%\n", r.Option, r.CblPct, r.RblPct)
 	}
 }

@@ -36,52 +36,42 @@ func TestStudyRunSurface(t *testing.T) {
 	}
 }
 
-// TestShimsMatchRun pins the deprecation-shim contract on a cheap
-// workload: the typed convenience method returns exactly the registry
-// path's rows.
-func TestShimsMatchRun(t *testing.T) {
-	s, err := NewStudy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	shim, err := s.WorstCases()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run("table1", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := res.Data.([]exp.Table1Row)
-	if len(shim) != len(rows) || shim[0] != rows[0] || shim[len(shim)-1] != rows[len(rows)-1] {
-		t.Fatal("shim rows drifted from Run rows")
-	}
-}
-
-// TestCheapShims keeps the fast deprecation shims covered on the short
-// path: each returns non-empty typed rows through Run.
-func TestCheapShims(t *testing.T) {
+// TestCheapWorkloadRows keeps the fast workloads covered on the short
+// path: each returns its documented typed rows through Run, and a
+// malformed size list is rejected before any trial runs.
+func TestCheapWorkloadRows(t *testing.T) {
 	s, err := NewStudy(WithMC(mc.Config{Samples: 20, Seed: 2015}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows, err := s.Distortions(); err != nil || len(rows) != 3 {
-		t.Fatalf("Distortions: %d rows, %v", len(rows), err)
+	run := func(name string, p exp.Params) any {
+		t.Helper()
+		res, err := s.Run(name, p)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return res.Data
 	}
-	if rows, err := s.ArrayOverview(); err != nil || len(rows) != 4 {
-		t.Fatalf("ArrayOverview: %d rows, %v", len(rows), err)
+	if rows := run("table1", nil).([]exp.Table1Row); len(rows) != 3 {
+		t.Fatalf("table1: %d rows", len(rows))
 	}
-	if rows, err := s.Distribution(); err != nil || len(rows) != 3 {
-		t.Fatalf("Distribution: %d rows, %v", len(rows), err)
+	if rows := run("fig2", nil).([]exp.Fig2Entry); len(rows) != 3 {
+		t.Fatalf("fig2: %d rows", len(rows))
 	}
-	if rows, err := s.Nodes(); err != nil || len(rows) != 18 {
-		t.Fatalf("Nodes: %d rows, %v", len(rows), err)
+	if rows := run("fig3", nil).([]exp.Fig3Row); len(rows) != 4 {
+		t.Fatalf("fig3: %d rows", len(rows))
 	}
-	if surfs, err := s.SigmaSurfaces(); err != nil || len(surfs) != 3 {
-		t.Fatalf("SigmaSurfaces: %d surfaces, %v", len(surfs), err)
+	if rows := run("fig5", exp.Params{"n": 64, "ol": 8.0}).([]exp.Fig5Result); len(rows) != 3 {
+		t.Fatalf("fig5: %d rows", len(rows))
 	}
-	if _, err := s.SpiceMC(nil); err == nil {
-		t.Fatal("SpiceMC with no sizes must fail")
+	if rows := run("nodes", nil).([]exp.NodesRow); len(rows) != 18 {
+		t.Fatalf("nodes: %d rows", len(rows))
+	}
+	if surfs := run("table4xp", nil).([]mc.ProcessSurface); len(surfs) != 3 {
+		t.Fatalf("table4xp: %d surfaces", len(surfs))
+	}
+	if _, err := s.Run("mcspice", exp.Params{"sizes": ","}); err == nil {
+		t.Fatal("mcspice with no sizes must fail")
 	}
 }
 

@@ -50,12 +50,12 @@ func CanonicalParams(p Params) string {
 
 // ParamFlags renders a normalized parameter map as sorted `-name=value`
 // CLI arguments — the spelling the schema-generated per-workload flags
-// parse back to the identical post-coercion value, which is what lets a
-// fan-out coordinator hand a spec to an `mpvar shard` child and have the
-// child recompute the same run key. Int/float/bool use the canonical
-// spellings from CanonicalValue; strings pass raw, NOT quoted — argv is
-// never shell-parsed, the flag package reads the value literally, so
-// quoting here would embed quote characters into the parameter.
+// parse back to the identical post-coercion value, so an `mpvar shard`
+// command line built from a spec recomputes the same run key.
+// Int/float/bool use the canonical spellings from CanonicalValue;
+// strings pass raw, NOT quoted — argv is never shell-parsed, the flag
+// package reads the value literally, so quoting here would embed quote
+// characters into the parameter.
 func ParamFlags(p Params) []string {
 	keys := make([]string, 0, len(p))
 	for k := range p {

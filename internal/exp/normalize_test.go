@@ -70,8 +70,8 @@ func TestCanonicalParamsDeterministic(t *testing.T) {
 	}
 }
 
-// TestParamFlagsRoundTrip pins the spec-serialization contract every
-// fan-out vehicle rides on: rendering a normalized parameter map with
+// TestParamFlagsRoundTrip pins the spec-serialization contract of
+// `mpvar shard` command lines: rendering a normalized parameter map with
 // ParamFlags and parsing it back through the same flag bindings the
 // `mpvar shard` CLI uses must reproduce a map with the identical
 // canonical form (and therefore the identical run key). The values

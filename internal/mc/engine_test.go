@@ -213,7 +213,7 @@ func TestWelfordMatchesSummarize(t *testing.T) {
 func TestSharedStreamMatchesPerCell(t *testing.T) {
 	p, m := model(t)
 	cfg := Config{Samples: 2000, Seed: 7}
-	single, err := TdpDistribution(p, litho.LE3, m, cm, 64, cfg)
+	single, err := TdpDistribution(context.Background(), p, litho.LE3, m, cm, 64, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestSigmaSurfaceAgreesWithSweep(t *testing.T) {
 	p, m := model(t)
 	cfg := Config{Samples: 1500, Seed: 9}
 	budgets := []float64{3e-9, 8e-9}
-	sweep, err := SigmaSweep(p, m, cm, 64, budgets, cfg)
+	sweep, err := SigmaSweep(context.Background(), p, m, cm, 64, budgets, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,18 +294,29 @@ func TestSummaryPreservesTrialOrder(t *testing.T) {
 	}
 }
 
-func TestRunCtxMatchesRun(t *testing.T) {
-	f := func(rng *rand.Rand) (float64, bool) { return rng.Float64(), true }
-	a, err := Run(Config{Samples: 500, Seed: 12}, f)
+// TestRunMatchesRunVector pins Run as the single-observable, collecting
+// view of the streaming engine: same draws, same rejects, same summary.
+func TestRunMatchesRunVector(t *testing.T) {
+	f := func(rng *rand.Rand) (float64, bool) {
+		v := rng.Float64()
+		return v, v > 0.1
+	}
+	cfg := Config{Samples: 500, Seed: 12}
+	a, err := Run(context.Background(), cfg, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCtx(context.Background(), Config{Samples: 500, Seed: 12}, f)
+	cfg.Collect = true
+	b, err := RunVector(context.Background(), cfg, 1, func(rng *rand.Rand, out []float64) bool {
+		v, ok := f(rng)
+		out[0] = v
+		return ok
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Summary != b.Summary {
-		t.Fatal("RunCtx diverges from Run")
+	if a.Rejected != b.Rejected || a.Summary != stats.Summarize(b.Values[0]) {
+		t.Fatal("Run diverges from RunVector")
 	}
 }
 

@@ -255,8 +255,8 @@ type payloadStream struct {
 
 // Frontier reports the payload's trial progress for the given shard
 // coordinates — ShardRun.Frontier for an artifact at rest, which is how
-// an external observer (the serve layer polling a child process's
-// checkpoint file) derives progress without attaching to the run.
+// an observer of a checkpoint file (a resumed fan-out shard, a shipped
+// remote checkpoint) derives progress without attaching to the run.
 func (p *ShardPayload) Frontier(spec ShardSpec) (done, total int) {
 	for _, ps := range p.streams {
 		lo, hi := spec.blockRange(ps.header.nblocks())

@@ -234,15 +234,30 @@ func TestShardCheckpointResume(t *testing.T) {
 	}
 	want := ref.EncodePayload()
 
+	// The trial functions fingerprint each trial by its first draw, which
+	// is a pure function of (seed, trial index).
+	firstDraw := make(map[float64]int, samples)
+	{
+		probe := rand.New(rand.NewSource(0))
+		for i := 0; i < samples; i++ {
+			probe.Seed(trialSeed(seed, i))
+			firstDraw[probe.NormFloat64()] = i
+		}
+	}
+	nblocks := (samples + blockSize - 1) / blockSize
+
 	// Killed run: cancel mid-stream, keep whatever the frontier reached.
+	// The cancel fires from the first frontier report, so at least one
+	// block is emitted; trials of the last block wait for the cancel, so
+	// the frontier cannot reach the end whatever the scheduling.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var seen atomic.Int32
 	killed, _ := NewShardRun(ShardSpec{Index: 0, Count: 1})
-	_, err := RunVector(ctx, Config{Samples: samples, Seed: seed, Workers: 2, Shard: killed}, 1, func(rng *rand.Rand, out []float64) bool {
+	_, err := RunVector(ctx, Config{Samples: samples, Seed: seed, Workers: 2, Shard: killed,
+		Progress: func(done, total int) { cancel() }}, 1, func(rng *rand.Rand, out []float64) bool {
 		out[0] = rng.NormFloat64()
-		if seen.Add(1) == 700 {
-			cancel()
+		if firstDraw[out[0]] >= (nblocks-1)*blockSize {
+			<-ctx.Done()
 		}
 		return true
 	})
@@ -261,22 +276,13 @@ func TestShardCheckpointResume(t *testing.T) {
 		t.Fatalf("checkpoint frontier %d not strictly mid-run", frontier)
 	}
 
-	// Resume. The trial function fingerprints each trial by its first
-	// draw, which is a pure function of (seed, trial index) — so the
-	// histogram of executed trials directly witnesses the invariant.
+	// Resume. The histogram of executed trials directly witnesses the
+	// invariant.
 	resumed, err := ResumeShardRun(ShardSpec{Index: 0, Count: 1}, ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var counts [samples]atomic.Int32
-	firstDraw := make(map[float64]int, samples)
-	{
-		probe := rand.New(rand.NewSource(0))
-		for i := 0; i < samples; i++ {
-			probe.Seed(trialSeed(seed, i))
-			firstDraw[probe.NormFloat64()] = i
-		}
-	}
 	_, err = RunVector(context.Background(), Config{Samples: samples, Seed: seed, Workers: 2, Shard: resumed}, 1, func(rng *rand.Rand, out []float64) bool {
 		v := rng.NormFloat64()
 		out[0] = v

@@ -111,7 +111,12 @@ func TestSpiceTdpAcrossSizesCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cfg := spiceMCCfg(768, 2)
+	// One worker emits blocks in order and checks the context before
+	// taking the next one, so the cancel from the first frontier report
+	// always leaves a partial run. With two, a worker stalled on block 0
+	// could let the other finish every later block before the first
+	// report, and the run would complete before the cancel.
+	cfg := spiceMCCfg(768, 1)
 	var (
 		mu       sync.Mutex
 		lastDone int

@@ -33,6 +33,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -45,6 +46,19 @@ import (
 	"mpsram/internal/core"
 	"mpsram/internal/exp"
 	"mpsram/internal/remote"
+)
+
+const (
+	// maxRunRequestBytes bounds a POST /v1/runs body. A run request is a
+	// workload name plus a few scalar parameters, so 1 MiB is generous;
+	// a larger body answers 413 before any of it is decoded further.
+	maxRunRequestBytes = 1 << 20
+	// readHeaderTimeout and idleTimeout bound how long a connection may
+	// hold the server on unsent request headers or as an idle keep-alive.
+	// There is deliberately no read or write timeout: a waited run and an
+	// SSE stream legitimately stay open for the whole run.
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 // Config sizes the service. Zero values take the defaults noted on each
@@ -84,12 +98,11 @@ type Config struct {
 	// without a Cost hint never fan out regardless.
 	FanoutMinSamples int
 	// FanoutExec selects the shard execution vehicle: "goroutine"
-	// (default, in-process), "process" (spawn `mpvar shard` children
-	// via FanoutBinary; a child crash re-dispatches that shard from its
-	// last checkpoint), or "remote" (dispatch shards to the peer
+	// (default, in-process) or "remote" (dispatch shards to the peer
 	// `mpvar serve` workers in Peers; a dead peer re-dispatches from the
 	// last shipped checkpoint, and no live peers falls back to
-	// in-process execution).
+	// in-process execution). Any other value means "goroutine". A
+	// loopback peer gives a shard crash isolation from the coordinator.
 	FanoutExec string
 	// Peers lists peer `mpvar serve` workers ("host:port" or full URLs)
 	// for FanoutExec "remote". Peers are health-checked via their
@@ -101,9 +114,6 @@ type Config struct {
 	// pointed at the same directory resumes checkpointed shards instead
 	// of recomputing them.
 	FanoutDir string
-	// FanoutBinary is the mpvar executable for FanoutExec "process"
-	// (default: the current executable).
-	FanoutBinary string
 }
 
 func (c Config) withDefaults() Config {
@@ -128,7 +138,7 @@ func (c Config) withDefaults() Config {
 	if c.FanoutMinSamples <= 0 {
 		c.FanoutMinSamples = defaultFanoutMinSamples
 	}
-	if c.FanoutExec == "" {
+	if c.FanoutExec != "remote" {
 		c.FanoutExec = "goroutine"
 	}
 	if c.FanoutDir == "" {
@@ -187,12 +197,6 @@ func New(cfg Config) *Server {
 	s.fanoutCtx, s.fanoutStop = context.WithCancel(s.baseCtx)
 	s.remoteWorker = remote.NewWorker(cfg.Workers, cfg.EngineWorkers, "")
 	switch cfg.FanoutExec {
-	case "process":
-		bin := cfg.FanoutBinary
-		if bin == "" {
-			bin, _ = os.Executable()
-		}
-		s.shardRunner = processExec{bin: bin, workers: cfg.EngineWorkers}
 	case "remote":
 		s.remotePool = remote.NewPool(cfg.Peers, remote.PoolConfig{})
 		s.shardRunner = remoteExec{pool: s.remotePool, local: goroutineExec{workers: cfg.EngineWorkers}}
@@ -372,10 +376,15 @@ func doneEnvelope(id, workload string) statusEnvelope {
 // or sheds) one run submission.
 func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	started := time.Now()
-	dec := json.NewDecoder(req.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxRunRequestBytes))
 	dec.DisallowUnknownFields()
 	var rr runRequest
 	if err := dec.Decode(&rr); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return
 	}
@@ -544,7 +553,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, req *http.Request) {
 // healthFanout is the fan-out block of the healthz body: configuration
 // plus the executor counters that make load behavior under fan-out
 // observable (how many shards are executing right now, how much resumed
-// from checkpoints instead of recomputing, how often children crashed).
+// from checkpoints instead of recomputing, how often shards failed and
+// were re-dispatched).
 type healthFanout struct {
 	Shards             int    `json:"shards"`
 	Exec               string `json:"exec"`
@@ -640,7 +650,7 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string, ready func(net
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: s.Handler()}
+	hs := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	if ready != nil {
 		ready(ln.Addr())
 	}

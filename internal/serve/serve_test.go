@@ -26,13 +26,20 @@ import (
 //
 // testslow blocks until its tag's gate is released (and reports
 // progress), testcheap returns instantly with a deterministic table,
-// testfail always errors. Tags keep concurrent tests isolated: each test
-// uses fresh tags, so gates and execution counters never cross.
+// testfail always errors. Tags keep tests isolated: each test instance
+// draws fresh tags from newTag, so gates and execution counters never
+// cross, not even between repeats under go test -count=N.
 var (
 	gateMu sync.Mutex
 	gates  = map[string]chan struct{}{}
 	counts sync.Map // tag -> *atomic.Int64
+	tagSeq atomic.Int64
 )
+
+// newTag returns a gate tag unique to this test instance.
+func newTag(t *testing.T, name string) string {
+	return fmt.Sprintf("%s/%s#%d", t.Name(), name, tagSeq.Add(1))
+}
 
 func gate(tag string) chan struct{} {
 	gateMu.Lock()
@@ -253,6 +260,23 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyBounded: a run request over maxRunRequestBytes answers
+// 413 with the uniform error envelope, and the server keeps answering
+// valid runs afterwards.
+func TestSubmitBodyBounded(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	huge := `{"workload":"testcheap","params":{"x":"` + strings.Repeat("a", maxRunRequestBytes) + `"}}`
+	resp, b := postRun(t, ts, "", huge)
+	var env errorEnvelope
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || json.Unmarshal(b, &env) != nil ||
+		!strings.Contains(env.Error, "exceeds") {
+		t.Fatalf("oversized body: status %d: %s", resp.StatusCode, b)
+	}
+	if resp, b := postRun(t, ts, "", `{"workload":"testcheap","params":{"x":3}}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid run after an oversized body: status %d: %s", resp.StatusCode, b)
+	}
+}
+
 // TestCacheHitByteIdentical drives a real registry workload (fig3)
 // twice: the cold run executes, the re-submission is a cache hit that is
 // byte-identical and answers in single-digit milliseconds, and
@@ -330,7 +354,8 @@ func TestDefaultedParamsShareCacheEntry(t *testing.T) {
 // execution; both callers receive the same bytes.
 func TestSingleFlight(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
-	body := `{"workload":"testslow","params":{"tag":"sf"}}`
+	tag := newTag(t, "sf")
+	body := fmt.Sprintf(`{"workload":"testslow","params":{"tag":%q}}`, tag)
 	var (
 		wg     sync.WaitGroup
 		mu     sync.Mutex
@@ -351,15 +376,15 @@ func TestSingleFlight(t *testing.T) {
 	}
 	// Let both submissions land (the first executes, the second must
 	// attach to it), then release the gate.
-	id := specKey(t, core.RunSpec{Workload: "testslow", Params: exp.Params{"tag": "sf"}})
+	id := specKey(t, core.RunSpec{Workload: "testslow", Params: exp.Params{"tag": tag}})
 	waitStatus(t, ts, id, statusRunning)
 	time.Sleep(20 * time.Millisecond)
-	release("sf")
+	release(tag)
 	wg.Wait()
 	if len(bodies) != 2 || !bytes.Equal(bodies[0], bodies[1]) {
 		t.Fatalf("concurrent callers diverged: %d bodies", len(bodies))
 	}
-	if got := execCount("sf").Load(); got != 1 {
+	if got := execCount(tag).Load(); got != 1 {
 		t.Fatalf("identical concurrent POSTs executed %d times, want 1", got)
 	}
 }
@@ -372,7 +397,8 @@ func TestQueueShedding(t *testing.T) {
 	submit := func(tag string) (*http.Response, []byte) {
 		return postRun(t, ts, "?wait=0", fmt.Sprintf(`{"workload":"testslow","params":{"tag":%q}}`, tag))
 	}
-	respA, bodyA := submit("shed-a")
+	tagA, tagB, tagC := newTag(t, "shed-a"), newTag(t, "shed-b"), newTag(t, "shed-c")
+	respA, bodyA := submit(tagA)
 	if respA.StatusCode != http.StatusAccepted {
 		t.Fatalf("first: %d %s", respA.StatusCode, bodyA)
 	}
@@ -381,10 +407,10 @@ func TestQueueShedding(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitStatus(t, ts, envA.ID, statusRunning) // executor now occupied
-	if resp, b := submit("shed-b"); resp.StatusCode != http.StatusAccepted {
+	if resp, b := submit(tagB); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("queued: %d %s", resp.StatusCode, b)
 	}
-	respC, bodyC := submit("shed-c")
+	respC, bodyC := submit(tagC)
 	if respC.StatusCode != http.StatusTooManyRequests || respC.Header.Get("Retry-After") == "" {
 		t.Fatalf("over-queue submission: status %d retry-after %q: %s",
 			respC.StatusCode, respC.Header.Get("Retry-After"), bodyC)
@@ -392,13 +418,13 @@ func TestQueueShedding(t *testing.T) {
 	if !strings.Contains(string(bodyC), "queue full") {
 		t.Fatalf("shed body drifted: %s", bodyC)
 	}
-	release("shed-a")
-	release("shed-b")
-	for _, tag := range []string{"shed-a", "shed-b"} {
+	release(tagA)
+	release(tagB)
+	for _, tag := range []string{tagA, tagB} {
 		id := specKey(t, core.RunSpec{Workload: "testslow", Params: exp.Params{"tag": tag}})
 		waitCached(t, ts, id)
 	}
-	if got := execCount("shed-c").Load(); got != 0 {
+	if got := execCount(tagC).Load(); got != 0 {
 		t.Fatalf("shed run executed %d times", got)
 	}
 }
@@ -421,7 +447,8 @@ func waitCached(t *testing.T, ts *httptest.Server, id string) {
 // but lets the in-flight run finish and land in the cache.
 func TestDrainCompletesInflight(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
-	resp, b := postRun(t, ts, "?wait=0", `{"workload":"testslow","params":{"tag":"drain-a"}}`)
+	tagA, tagB := newTag(t, "drain-a"), newTag(t, "drain-b")
+	resp, b := postRun(t, ts, "?wait=0", fmt.Sprintf(`{"workload":"testslow","params":{"tag":%q}}`, tagA))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", resp.StatusCode, b)
 	}
@@ -444,14 +471,14 @@ func TestDrainCompletesInflight(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if resp, b := postRun(t, ts, "?wait=0", `{"workload":"testslow","params":{"tag":"drain-b"}}`); resp.StatusCode != http.StatusServiceUnavailable {
+	if resp, b := postRun(t, ts, "?wait=0", fmt.Sprintf(`{"workload":"testslow","params":{"tag":%q}}`, tagB)); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submission while draining: %d %s", resp.StatusCode, b)
 	}
 	if resp, b := getJSON(t, ts.URL+"/v1/healthz"); resp.StatusCode != http.StatusOK ||
 		!strings.Contains(string(b), `"status":"draining"`) {
 		t.Fatalf("healthz while draining: %d %s", resp.StatusCode, b)
 	}
-	release("drain-a")
+	release(tagA)
 	if err := <-drained; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
@@ -460,7 +487,7 @@ func TestDrainCompletesInflight(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK || resp2.Header.Get("X-Mpvar-Cache") != "hit" {
 		t.Fatalf("drained run not cached: %d %s", resp2.StatusCode, body)
 	}
-	if got := execCount("drain-b").Load(); got != 0 {
+	if got := execCount(tagB).Load(); got != 0 {
 		t.Fatalf("draining server executed a new run %d times", got)
 	}
 }
@@ -471,7 +498,8 @@ func TestDrainCompletesInflight(t *testing.T) {
 // unknown id answers 404.
 func TestSSEProgress(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	resp, b := postRun(t, ts, "?wait=0", `{"workload":"testslow","params":{"tag":"sse"}}`)
+	tag := newTag(t, "sse")
+	resp, b := postRun(t, ts, "?wait=0", fmt.Sprintf(`{"workload":"testslow","params":{"tag":%q}}`, tag))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", resp.StatusCode, b)
 	}
@@ -522,7 +550,7 @@ func TestSSEProgress(t *testing.T) {
 	if !strings.Contains(first, "event: status") || !strings.Contains(first, `"done":1`) {
 		t.Fatalf("initial frame drifted: %q", first)
 	}
-	release("sse")
+	release(tag)
 	var liveDone, liveProgress string
 	for f := range frames {
 		if strings.Contains(f, "event: done") {

@@ -252,11 +252,9 @@ func (s *Solver) Solve(m *Matrix, b []float64) ([]float64, error) {
 					touched = append(touched, e.Col)
 					x[e.Col] = 0
 					if e.Col > k && i > e.Col {
-						// fill-in below the diagonal in column e.Col
+						// fill-in below the diagonal in column e.Col; fill
+						// above it needs no occupancy
 						cols[e.Col] = append(cols[e.Col], i)
-					} else if e.Col > k && i < e.Col {
-						// fill above diagonal needs no occupancy
-						_ = i
 					}
 				}
 				x[e.Col] -= factor * e.Val
