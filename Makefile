@@ -62,6 +62,8 @@ bench-json:
 # The three *Codec targets gate the shard-artifact serialization surface:
 # encode→decode→Merge must stay bit-identical to merging the live
 # accumulators, on random streams split at random points.
+# FuzzLazySource checks the engine's lazily seeded PRNG source bit for bit
+# against rand.NewSource over random seeds, draw mixes and reseeds.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzNetlistReset' -fuzztime 10s ./internal/spice
 	$(GO) test -run '^$$' -fuzz 'FuzzP2Quantile' -fuzztime 10s ./internal/stats
@@ -69,6 +71,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzWelfordCodec' -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz 'FuzzP2Codec' -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz 'FuzzControlVariateCodec' -fuzztime 10s ./internal/stats
+	$(GO) test -run '^$$' -fuzz 'FuzzLazySource' -fuzztime 10s ./internal/mc
 
 # Coverage over the -short suite (the fast deterministic core).
 cover:

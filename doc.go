@@ -34,10 +34,12 @@
 // workloads — exp.Nodes, the Table-IV-style σ comparison across
 // N10/N7/N5 (`mpvar nodes`), and per-process extended Table IV surfaces.
 // N10 results are bit-identical to the single-node engine they grew out
-// of. Per-trial reseeding has an opt-in fast path (mc.Config.FastReseed,
-// a splittable PCG64 stream, ~1000× cheaper than the legacy
-// lagged-Fibonacci reseed) that changes the sample stream and therefore
-// requires re-baselining; the default stream stays bit-exact.
+// of. Every trial draws from one PRNG stream, math/rand's, reseeded per
+// trial from (Seed, i). The engine's source (mc's lazySource) returns
+// math/rand's values bit for bit but seeds in O(1): it computes the
+// seeded table words it reads by LCG jump-ahead instead of rebuilding
+// all 607 of them, so reseeding no longer dominates cheap trials
+// (FuzzLazySource checks it against rand.NewSource).
 //
 // The two engines also compose: mc.SpiceTdpAcrossSizes hosts a full read
 // transient inside every Monte-Carlo trial (SPICE-in-the-loop), with each

@@ -2,9 +2,9 @@
 // execution, and the run-key hashing behind the serve layer's
 // content-addressed result cache. Every engine in this repository is
 // bit-deterministic in (workload, parameters, seed, sample budget,
-// process, PRNG stream) — worker counts never change results — so those
-// fields, plus an engine version that moves when the numerics move, ARE
-// the identity of a result. Two specs with equal keys produce
+// process) — worker counts never change results — so those fields, plus
+// an engine version that moves when the numerics or the key's pre-image
+// move, ARE the identity of a result. Two specs with equal keys produce
 // byte-identical rendered output.
 package core
 
@@ -24,9 +24,12 @@ import (
 // numeric results (i.e. whenever the golden CSVs under
 // internal/exp/testdata/golden are regenerated with different values),
 // so stale cached results age out by key instead of being served as
-// current. Pure refactors that keep the goldens byte-identical must NOT
-// bump it — cache continuity across deploys is the point.
-const EngineVersion = "v1"
+// current. Bump it too when the key's pre-image (canonical) changes
+// shape, so peers that hash specs differently refuse each other through
+// the health and drift checks. Pure refactors that keep the goldens and
+// the pre-image byte-identical must NOT bump it — cache continuity
+// across deploys is the point.
+const EngineVersion = "v2"
 
 // DefaultSeed is the repository-wide Monte-Carlo seed (the paper year);
 // a RunSpec with Seed 0 normalizes to it, mirroring the CLI default.
@@ -40,23 +43,24 @@ const DefaultSamples = 10000
 // value of every optional field means "the default": empty Process is
 // the registry's N10, Seed 0 is DefaultSeed, Samples 0 adopts the
 // workload's Hints.Samples budget (or DefaultSamples without one), and a
-// nil Params map takes every schema default. Worker counts are absent on
-// purpose — results are bit-identical for any worker count, so they are
-// execution detail, not identity.
+// nil Params map takes every schema default; Samples above
+// mc.MaxSamples is refused. Worker counts are absent on purpose —
+// results are bit-identical for any worker count, so they are execution
+// detail, not identity.
 type RunSpec struct {
 	Workload string
 	Params   exp.Params
 	Process  string
 	Seed     int64
 	Samples  int
-	FastSeed bool
 }
 
 // Normalize resolves the spec to its canonical form: the workload name
 // validated against the registry, parameters schema-coerced and
 // default-filled (exp.NormalizeParams), the process name trimmed,
 // case-folded and replaced by the registry's canonical spelling, and the
-// seed and sample budget defaulted. Two specs that denote the same run
+// seed and sample budget defaulted. A sample budget above mc.MaxSamples
+// is an error, so servers refuse it before queueing anything. Two specs that denote the same run
 // normalize to equal specs; errors carry the registries' valid-names
 // text so HTTP handlers can surface them verbatim.
 func (s RunSpec) Normalize() (RunSpec, error) {
@@ -89,6 +93,9 @@ func (s RunSpec) Normalize() (RunSpec, error) {
 			out.Samples = DefaultSamples
 		}
 	}
+	if out.Samples > mc.MaxSamples {
+		return RunSpec{}, fmt.Errorf("core: samples %d exceeds the limit of %d", out.Samples, mc.MaxSamples)
+	}
 	return out, nil
 }
 
@@ -113,8 +120,8 @@ func (s RunSpec) EstimatedCost() (float64, error) {
 
 // canonical renders a normalized spec as the frozen pre-image of Key.
 func (s RunSpec) canonical() string {
-	return fmt.Sprintf("mpsram-run|engine=%s|workload=%s|process=%s|seed=%d|samples=%d|fastseed=%t|params=%s",
-		EngineVersion, s.Workload, s.Process, s.Seed, s.Samples, s.FastSeed,
+	return fmt.Sprintf("mpsram-run|engine=%s|workload=%s|process=%s|seed=%d|samples=%d|params=%s",
+		EngineVersion, s.Workload, s.Process, s.Seed, s.Samples,
 		exp.CanonicalParams(s.Params))
 }
 
@@ -147,7 +154,7 @@ func (s RunSpec) NewStudy(extra ...Option) (*Study, error) {
 	}
 	opts := append([]Option{
 		WithProcess(proc),
-		WithMC(mc.Config{Samples: n.Samples, Seed: n.Seed, FastReseed: n.FastSeed}),
+		WithMC(mc.Config{Samples: n.Samples, Seed: n.Seed}),
 	}, extra...)
 	return NewStudy(opts...)
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"mpsram/internal/exp"
+	"mpsram/internal/mc"
 )
 
 func key(t *testing.T, s RunSpec) string {
@@ -65,7 +67,6 @@ func TestRunSpecKeyCanonicalization(t *testing.T) {
 		{Workload: "mcspice", Params: exp.Params{"n": 65}},
 		{Workload: "mcspice", Seed: 1},
 		{Workload: "mcspice", Samples: 100},
-		{Workload: "mcspice", FastSeed: true},
 		{Workload: "mcspice", Process: "N7"},
 		{Workload: "mcspicex"},
 	}
@@ -91,6 +92,20 @@ func TestRunSpecKeyCanonicalization(t *testing.T) {
 			t.Errorf("spec %+v collided: %s", s, k)
 		}
 		seen[k] = true
+	}
+}
+
+// TestRunSpecSamplesBounded: Normalize refuses a sample budget above
+// mc.MaxSamples and accepts the bound itself.
+func TestRunSpecSamplesBounded(t *testing.T) {
+	if _, err := (RunSpec{Workload: "table4x", Samples: mc.MaxSamples}).Normalize(); err != nil {
+		t.Fatalf("budget at the bound refused: %v", err)
+	}
+	for _, n := range []int{mc.MaxSamples + 1, math.MaxInt} {
+		if _, err := (RunSpec{Workload: "table4x", Samples: n}).Key(); err == nil ||
+			!strings.Contains(err.Error(), "exceeds the limit") {
+			t.Fatalf("samples=%d: %v", n, err)
+		}
 	}
 }
 

@@ -389,7 +389,7 @@ func TestShardHeaderSpecRoundTrip(t *testing.T) {
 	}
 	want := key(t, n)
 	h := ShardHeader{Workload: n.Workload, Params: n.Params, Process: n.Process,
-		Seed: n.Seed, Samples: n.Samples, FastSeed: n.FastSeed}
+		Seed: n.Seed, Samples: n.Samples}
 	blob, err := json.Marshal(h)
 	if err != nil {
 		t.Fatal(err)

@@ -48,31 +48,6 @@ func CanonicalParams(p Params) string {
 	return strings.Join(parts, ",")
 }
 
-// ParamFlags renders a normalized parameter map as sorted `-name=value`
-// CLI arguments — the spelling the schema-generated per-workload flags
-// parse back to the identical post-coercion value, so an `mpvar shard`
-// command line built from a spec recomputes the same run key.
-// Int/float/bool use the canonical spellings from CanonicalValue;
-// strings pass raw, NOT quoted — argv is never shell-parsed, the flag
-// package reads the value literally, so quoting here would embed quote
-// characters into the parameter.
-func ParamFlags(p Params) []string {
-	keys := make([]string, 0, len(p))
-	for k := range p {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	flags := make([]string, len(keys))
-	for i, k := range keys {
-		v := CanonicalValue(p[k])
-		if s, ok := p[k].(string); ok {
-			v = s
-		}
-		flags[i] = "-" + k + "=" + v
-	}
-	return flags
-}
-
 // CanonicalValue spells one post-coercion parameter value
 // deterministically; it is the per-value half of CanonicalParams and
 // shares its frozen-format contract.

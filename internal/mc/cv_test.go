@@ -123,6 +123,9 @@ func TestRunVectorPairedRejectsBadConfig(t *testing.T) {
 	if _, err := RunVectorPaired(nil, Config{Samples: 10}, 0, f); err == nil {
 		t.Fatal("zero observables accepted")
 	}
+	if _, err := RunVectorPaired(nil, Config{Samples: math.MaxInt}, 1, f); err == nil {
+		t.Fatal("unbounded samples accepted")
+	}
 	if _, err := RunVectorPaired(nil, Config{Samples: 10, Collect: true}, 1, f); err == nil {
 		t.Fatal("Collect accepted on the streaming-only paired path")
 	}

@@ -123,6 +123,20 @@ func TestRunVectorBadConfig(t *testing.T) {
 	if _, err := RunVector(bg, Config{Samples: 10}, 0, gauss1); err == nil {
 		t.Fatal("zero observables must error")
 	}
+	// A budget past MaxSamples errors before any block arithmetic, in
+	// direct and shard mode alike: at math.MaxInt the block count
+	// overflows.
+	for _, n := range []int{MaxSamples + 1, math.MaxInt} {
+		sh, err := NewShardRun(ShardSpec{Index: 1, Count: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range []Config{{Samples: n}, {Samples: n, Shard: sh}} {
+			if _, err := RunVector(bg, cfg, 1, gauss1); err == nil || !strings.Contains(err.Error(), "outside [1,") {
+				t.Fatalf("samples=%d shard=%v: %v", n, cfg.Shard != nil, err)
+			}
+		}
+	}
 }
 
 func TestRunVectorCancellationMidRun(t *testing.T) {

@@ -35,16 +35,6 @@ type Config struct {
 	// exact quantiles and histograms. Off, the engine keeps only the
 	// streaming Welford moments — no O(Samples) buffer.
 	Collect bool
-	// FastReseed switches the per-trial PRNG to the splittable PCG64
-	// source (pcg.go), whose O(1) reseed is ~100× cheaper than the
-	// legacy lagged-Fibonacci 607-word table rebuild that otherwise
-	// dominates cheap-observable runs. Off (the default), the engine
-	// keeps the legacy source and its bit-exact historical sample
-	// stream. Turning it on changes every drawn sample — results remain
-	// deterministic per (Seed, trial) and bit-identical across worker
-	// counts, but must be re-baselined against the legacy goldens (see
-	// EXPERIMENTS.md).
-	FastReseed bool
 	// Progress, if non-nil, is called as trial blocks complete with the
 	// number of finished trials and the total. Calls are serialized by
 	// the engine and done is strictly increasing within one run, so the
@@ -74,6 +64,12 @@ type Config struct {
 	// counts.
 	WorkerState func() any
 }
+
+// MaxSamples bounds Config.Samples. 1<<24 trials is 21× the largest
+// recorded run (fig5 at 800 000 samples), keeps the block count far from
+// int overflow, and caps a collecting single-observable run such as
+// fig5 at 128 MiB of retained values.
+const MaxSamples = 1 << 24
 
 func (c Config) workers() int {
 	if c.Workers > 0 {

@@ -23,6 +23,7 @@ package mc
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -56,12 +57,11 @@ const (
 // re-execution for the recorded blocks to be the same computation.
 // Comparable by ==.
 type streamHeader struct {
-	Kind       uint8
-	Collect    bool
-	FastReseed bool
-	Nobs       int
-	Samples    int
-	Seed       int64
+	Kind    uint8
+	Collect bool
+	Nobs    int
+	Samples int
+	Seed    int64
 }
 
 // nblocks returns the stream's block count.
@@ -97,15 +97,75 @@ func trialsIn(first, last, n int) int {
 // evalFunc evaluates one block of trials into its record. It returns
 // ok=false when the run was canceled mid-block; the torn block is then
 // abandoned — never emitted, never counted.
-type evalFunc func(state any, rng *rand.Rand, block, lo, hi int) (rec StreamRecord, ok bool)
+type evalFunc func(ctx context.Context, state any, rng *rand.Rand, block, lo, hi int) (rec StreamRecord, ok bool)
+
+// runStream is the one stream driver under RunVectorState and
+// RunVectorPaired: it validates the stream, then replays its recorded
+// blocks (cfg.Replay), runs the shard's block range (cfg.Shard), or runs
+// every block, and returns the block records in block order. whole is
+// false for a shard's partial view, which callers must not hold to the
+// all-rejected check.
+func runStream(ctx context.Context, cfg Config, hdr streamHeader, newEval func() evalFunc) (recs []StreamRecord, whole bool, err error) {
+	n := hdr.Samples
+	if n < 1 || n > MaxSamples {
+		return nil, false, fmt.Errorf("mc: sample count %d outside [1,%d]", n, MaxSamples)
+	}
+	if hdr.Nobs < 1 {
+		return nil, false, fmt.Errorf("mc: observable count %d < 1", hdr.Nobs)
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+
+	// Reduce mode: fold the recorded blocks instead of executing trials.
+	if rp := cfg.Replay; rp != nil {
+		recs, err := rp.nextStream(hdr)
+		return recs, true, err
+	}
+
+	// Shard mode: execute only the shard's block range (continuing past
+	// a resumed checkpoint's frontier) and capture the records. The fold
+	// over them is the shard's own view; the real result comes from the
+	// reducer.
+	if sh := cfg.Shard; sh != nil {
+		st, err := sh.beginStream(hdr)
+		if err != nil {
+			return nil, false, err
+		}
+		first := st.lo + len(st.recs)
+		emitted := runBlocks(ctx, cfg, n, first, st.hi, newEval, func(rec StreamRecord) {
+			st.recs = append(st.recs, rec)
+			sh.advance()
+		})
+		if err := ctx.Err(); err != nil {
+			return nil, false, fmt.Errorf("mc: run canceled after %d of %d trials: %w", trialsIn(st.lo, first, n)+emitted, n, err)
+		}
+		return st.recs, false, nil
+	}
+
+	nblocks := hdr.nblocks()
+	recs = make([]StreamRecord, 0, nblocks)
+	emitted := runBlocks(ctx, cfg, n, 0, nblocks, newEval, func(rec StreamRecord) {
+		recs = append(recs, rec)
+	})
+	if err := ctx.Err(); err != nil {
+		// The reported count is the partial-progress invariant: trials
+		// of the contiguous emitted prefix only. Completed-but-unmerged
+		// blocks beyond the frontier and the torn in-flight blocks are
+		// excluded, so a checkpoint resume re-runs exactly the blocks at
+		// or after the frontier — nothing is double-counted.
+		return nil, false, fmt.Errorf("mc: run canceled after %d of %d trials: %w", emitted, n, err)
+	}
+	return recs, true, nil
+}
 
 // runBlocks drives the worker pool over blocks [first,last) of an
 // n-trial stream. newEval is invoked once per worker and the returned
 // closure owns that worker's scratch; each worker also gets one reusable
-// PRNG (legacy or PCG64 per cfg.FastReseed) and one cfg.WorkerState
-// value. emit receives every completed record strictly in block order
-// and is serialized by the scheduler — it needs no locking and may
-// safely append to a slice or persist a checkpoint. cfg.Progress, when
+// PRNG (over lazySource) and one cfg.WorkerState value. emit receives
+// every completed record strictly in block order and is serialized by
+// the scheduler — it needs no locking and may safely append to a slice
+// or persist a checkpoint. cfg.Progress, when
 // set, observes the frontier: done counts emitted trials of this range,
 // total the range's trial count, strictly increasing.
 //
@@ -140,15 +200,9 @@ func runBlocks(ctx context.Context, cfg Config, n, first, last int, newEval func
 			defer wg.Done()
 			// One PRNG, one scratch closure and (when hooked) one state
 			// value per worker, reseeded / rewritten per trial instead of
-			// reallocated. FastReseed swaps the source for the splittable
-			// PCG64 whose Seed is O(1) instead of a 607-word table init;
-			// the stream changes, the determinism contract does not.
-			var rng *rand.Rand
-			if cfg.FastReseed {
-				rng = rand.New(new(pcgSource))
-			} else {
-				rng = rand.New(rand.NewSource(0))
-			}
+			// reallocated. The source's Seed is O(1), its stream
+			// math/rand's.
+			rng := rand.New(newLazySource(0))
 			var state any
 			if cfg.WorkerState != nil {
 				state = cfg.WorkerState()
@@ -163,7 +217,7 @@ func runBlocks(ctx context.Context, cfg Config, n, first, last int, newEval func
 					return
 				}
 				lo, hi := blockBounds(b, n)
-				rec, ok := eval(state, rng, b, lo, hi)
+				rec, ok := eval(ctx, state, rng, b, lo, hi)
 				if !ok {
 					return
 				}

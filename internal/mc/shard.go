@@ -12,9 +12,9 @@
 // engine in a deterministic sequence (it is ordinary sequential Go), so
 // the k-th engine invocation of the reduce run corresponds to the k-th
 // captured stream of every shard. Each stream carries a header (kind,
-// observable count, sample budget, seed, PRNG family, collect mode)
-// that is validated on both resume and replay, so a drifted workload or
-// configuration fails loudly instead of folding foreign blocks.
+// observable count, sample budget, seed, collect mode) that is validated
+// on both resume and replay, so a drifted workload or configuration
+// fails loudly instead of folding foreign blocks.
 package mc
 
 import (
@@ -272,12 +272,12 @@ func (p *ShardPayload) Frontier(spec ShardSpec) (done, total int) {
 // version-mismatched buffers fail loudly.
 const (
 	payloadCodecVersion = 1
-	streamCodecVersion  = 1
+	streamCodecVersion  = 2
 )
 
 // appendHeader encodes one stream header (fixed size).
 func appendHeader(b []byte, h streamHeader) []byte {
-	b = append(b, streamCodecVersion, h.Kind, b2u8(h.Collect), b2u8(h.FastReseed))
+	b = append(b, streamCodecVersion, h.Kind, b2u8(h.Collect))
 	b = stats.AppendU64(b, uint64(h.Nobs))
 	b = stats.AppendU64(b, uint64(h.Samples))
 	b = stats.AppendU64(b, uint64(h.Seed))
@@ -355,7 +355,6 @@ func decodeHeader(r *stats.CodecReader) (streamHeader, error) {
 	}
 	h.Kind = r.U8("stream header")
 	h.Collect = r.U8("stream header") != 0
-	h.FastReseed = r.U8("stream header") != 0
 	h.Nobs = int(r.U64("stream header"))
 	h.Samples = int(r.U64("stream header"))
 	h.Seed = int64(r.U64("stream header"))
@@ -365,7 +364,7 @@ func decodeHeader(r *stats.CodecReader) (streamHeader, error) {
 	if h.Kind != streamPlain && h.Kind != streamPaired {
 		return h, fmt.Errorf("mc: unknown stream kind %d", h.Kind)
 	}
-	if h.Nobs < 1 || h.Samples < 1 {
+	if h.Nobs < 1 || h.Samples < 1 || h.Samples > MaxSamples {
 		return h, fmt.Errorf("mc: corrupt stream header (nobs=%d samples=%d)", h.Nobs, h.Samples)
 	}
 	return h, nil

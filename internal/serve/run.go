@@ -219,7 +219,6 @@ type runEnvelope struct {
 	Process  string          `json:"process"`
 	Seed     int64           `json:"seed"`
 	Samples  int             `json:"samples"`
-	FastSeed bool            `json:"fastseed"`
 	Params   map[string]any  `json:"params"`
 	Tables   json.RawMessage `json:"tables"`
 }
@@ -252,7 +251,6 @@ func (s *Server) renderBody(r *run, res *exp.Result) ([]byte, error) {
 		Process:  r.spec.Process,
 		Seed:     r.spec.Seed,
 		Samples:  r.spec.Samples,
-		FastSeed: r.spec.FastSeed,
 		Params:   r.spec.Params,
 		Tables:   json.RawMessage(tables),
 	})

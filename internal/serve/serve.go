@@ -339,7 +339,6 @@ type runRequest struct {
 	Process  string         `json:"process"`
 	Seed     int64          `json:"seed"`
 	Samples  int            `json:"samples"`
-	FastSeed bool           `json:"fastseed"`
 }
 
 // statusEnvelope reports a run's lifecycle state. Every status-shaped
@@ -394,7 +393,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		Process:  rr.Process,
 		Seed:     rr.Seed,
 		Samples:  rr.Samples,
-		FastSeed: rr.FastSeed,
 	}.Normalize()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -18,6 +19,7 @@ import (
 
 	"mpsram/internal/core"
 	"mpsram/internal/exp"
+	"mpsram/internal/mc"
 	"mpsram/internal/report"
 )
 
@@ -274,6 +276,30 @@ func TestSubmitBodyBounded(t *testing.T) {
 	}
 	if resp, b := postRun(t, ts, "", `{"workload":"testcheap","params":{"x":3}}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("valid run after an oversized body: status %d: %s", resp.StatusCode, b)
+	}
+}
+
+// TestSubmitSamplesBounded: a sample budget above mc.MaxSamples answers
+// 400 before anything is queued, with fan-out off and on (a budget
+// of math.MaxInt used to overflow the block count), and the server
+// keeps answering valid runs afterwards.
+func TestSubmitSamplesBounded(t *testing.T) {
+	for _, cfg := range []Config{
+		{Workers: 1, Fanout: 1, EngineWorkers: 1},
+		{Workers: 1, Fanout: 2, FanoutMinSamples: 1, EngineWorkers: 1, FanoutDir: t.TempDir()},
+	} {
+		_, ts := newTestServer(t, cfg)
+		for _, n := range []int{mc.MaxSamples + 1, math.MaxInt} {
+			resp, b := postRun(t, ts, "", fmt.Sprintf(`{"workload":"table4x","samples":%d}`, n))
+			var env errorEnvelope
+			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(b, &env) != nil ||
+				!strings.Contains(env.Error, "exceeds the limit") {
+				t.Fatalf("fanout=%d samples=%d: status %d: %s", cfg.Fanout, n, resp.StatusCode, b)
+			}
+		}
+		if resp, b := postRun(t, ts, "", `{"workload":"testcheap","params":{"x":3}}`); resp.StatusCode != http.StatusOK {
+			t.Fatalf("fanout=%d: valid run after an oversized budget: status %d: %s", cfg.Fanout, resp.StatusCode, b)
+		}
 	}
 }
 
