@@ -19,7 +19,6 @@ import (
 	"mpsram/internal/sparse"
 	"mpsram/internal/spice"
 	"mpsram/internal/sram"
-	"mpsram/internal/sweep"
 	"mpsram/internal/tech"
 )
 
@@ -340,16 +339,32 @@ func BenchmarkTable4SurfaceSharedVsPerCell(b *testing.B) {
 	})
 }
 
-// BenchmarkSpiceSweepSharedVsSerial is this refactor's headline: the
+// BenchmarkSpiceSweepSharedVsSerial is the sweep engine's headline: the
 // combined Fig. 4 + Table II + Table III reproduction. "serial" replays
 // the pre-sweep-engine access pattern — three independent loops of
-// one-shot sram calls issuing 13 transients per DOE size (Fig. 4 re-runs
+// fresh-engine reads (sram.BuildColumn + Column.MeasureTd, nominal
+// extraction per call) issuing 13 transients per DOE size (Fig. 4 re-runs
 // the nominal per option, Table II re-runs it again, Table III repeats
 // every Fig. 4 penalty) — while "shared" issues one deduplicated plan of
 // 4 unique transients per size through the sweep engine's worker pool and
 // reads all three tables from the memoized results.
 func BenchmarkSpiceSweepSharedVsSerial(b *testing.B) {
 	e := env(b)
+	read := func(b *testing.B, n int, r extract.Ratios) {
+		nom, err := sram.NominalParasitics(e.Proc, e.Cap)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cp := nom.Scale(r)
+		col, err := sram.BuildColumn(e.Proc, n, cp, e.Build)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := col.MeasureTd(cp, e.Sim); err != nil {
+			b.Fatal(err)
+		}
+	}
+	unit := extract.Ratios{Rvar: 1, Cvar: 1, RvssVar: 1}
 	serialPenalties := func(b *testing.B) {
 		for _, o := range litho.Options {
 			wc, err := extract.WorstCase(e.Proc, o, e.Cap)
@@ -357,9 +372,8 @@ func BenchmarkSpiceSweepSharedVsSerial(b *testing.B) {
 				b.Fatal(err)
 			}
 			for _, n := range exp.PaperSizes {
-				if _, _, _, err := sram.TdPenaltyPct(e.Proc, o, wc.Sample, e.Cap, n, e.Build, e.Sim); err != nil {
-					b.Fatal(err)
-				}
+				read(b, n, unit)
+				read(b, n, wc.Ratios)
 			}
 		}
 	}
@@ -368,9 +382,7 @@ func BenchmarkSpiceSweepSharedVsSerial(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			serialPenalties(b)                 // Fig. 4
 			for _, n := range exp.PaperSizes { // Table II
-				if _, err := sram.SimulateTd(e.Proc, litho.EUV, litho.Nominal, e.Cap, n, e.Build, e.Sim); err != nil {
-					b.Fatal(err)
-				}
+				read(b, n, unit)
 			}
 			serialPenalties(b) // Table III
 		}
@@ -380,72 +392,6 @@ func BenchmarkSpiceSweepSharedVsSerial(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := exp.SpiceTables(e); err != nil {
 				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkCrossProcessPlanSharedVsSerial is the process-axis headline:
-// the Fig. 4-style sweep (nominal + per-option worst case per size)
-// across all three registry nodes. "serial" runs one single-process sweep
-// per node back to back — each paying its own pool spin-up and drain
-// tail — while "shared" issues one cross-process plan whose nominal
-// transients dedupe per (process, n) across options and whose job set
-// interleaves the nodes over a single worker pool. Results are gated
-// bit-identical to the serial arm across worker counts in
-// sweep.TestCrossProcessSharedMatchesSerialPerProcess.
-func BenchmarkCrossProcessPlanSharedVsSerial(b *testing.B) {
-	e := env(b)
-	reg := tech.Default()
-	sizes := []int{16, 64}
-	procs := map[string]tech.Process{}
-	for _, p := range reg.Processes() {
-		procs[p.Name] = p
-	}
-	ctx := context.Background()
-	cfg := sweep.Config{Workers: 2}
-	b.Run("serial-per-process", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			jobs := 0
-			for _, name := range reg.Names() {
-				pl := sweep.NewPlan()
-				pl.AddNominal(sizes...)
-				for _, o := range litho.Options {
-					pl.AddWorstCase(o, sizes...)
-				}
-				senv := sweep.Env{Proc: procs[name], Cap: e.Cap, Build: e.Build, Sim: e.Sim}
-				res, err := sweep.Run(ctx, senv, pl, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				jobs += res.Jobs()
-			}
-			if i == 0 {
-				b.ReportMetric(float64(jobs), "transients")
-			}
-		}
-	})
-	b.Run("shared-cross-process", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			// Every option (and, via AddNominal's per-table duplicates,
-			// every consumer) declares its own nominal needs; the plan
-			// coalesces them to one nominal transient per (process, n).
-			pl := sweep.NewPlan()
-			for _, name := range reg.Names() {
-				for _, o := range litho.Options {
-					pl.AddNominalFor(name, sizes...)
-					pl.AddWorstCaseFor(name, o, sizes...)
-				}
-			}
-			senv := sweep.Env{Proc: procs["N10"], Procs: procs, Cap: e.Cap, Build: e.Build, Sim: e.Sim}
-			res, err := sweep.Run(ctx, senv, pl, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				b.ReportMetric(float64(res.Jobs()), "transients")
 			}
 		}
 	})
@@ -862,7 +808,7 @@ func BenchmarkSpiceMCCV(b *testing.B) {
 	ctx := context.Background()
 	b.Run("plain", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			vr, err := mc.SpiceTdpAcrossSizesShared(ctx, p, o, cm, []int{size}, nom, nomTd, e.Build, e.Sim, cfg)
+			vr, err := mc.SpiceTdpAcrossSizes(ctx, p, o, cm, []int{size}, nom, nomTd, e.Build, e.Sim, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -873,7 +819,7 @@ func BenchmarkSpiceMCCV(b *testing.B) {
 	})
 	b.Run("cv", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			cvr, err := mc.SpiceTdpCVAcrossSizesShared(ctx, p, o, m, cm, []int{size}, nom, nomTd, e.Build, e.Sim, cfg)
+			cvr, err := mc.SpiceTdpCVAcrossSizes(ctx, p, o, m, cm, []int{size}, nom, nomTd, e.Build, e.Sim, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -892,7 +838,7 @@ func BenchmarkSpiceMCCV(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
-			cvr, err := mc.SpiceTdpCVAcrossSizesShared(ctx, p, o, m, cm, []int{size}, nom, adTd, e.Build, sopt, cfg)
+			cvr, err := mc.SpiceTdpCVAcrossSizes(ctx, p, o, m, cm, []int{size}, nom, adTd, e.Build, sopt, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

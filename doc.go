@@ -27,12 +27,13 @@
 // serial reproduction issues); Fig. 5 and Table IV are views over shared
 // Monte-Carlo streams.
 //
-// The process axis threads through both engines: sweep.Plan points and
-// Monte-Carlo streams key on (process, option, …), a single cross-process
-// plan replaces N serial per-process runs (nominal transients dedupe per
-// (process, n) across options), and the exp layer adds the cross-node
-// workloads — exp.Nodes, the Table-IV-style σ comparison across
-// N10/N7/N5 (`mpvar nodes`), and per-process extended Table IV surfaces.
+// The process axis lives in the Monte-Carlo engine and the exp layer:
+// Monte-Carlo streams key on (process, option, …), and the exp layer adds
+// the cross-node workloads — exp.Nodes, the Table-IV-style σ comparison
+// across N10/N7/N5 (`mpvar nodes`), per-process extended Table IV
+// surfaces, and the SPICE-measured cross-node check (`mpvar
+// mcspicenodes`), which runs one SPICE-in-the-loop Monte-Carlo per node.
+// A sweep.Plan covers one process; its points key on (option, kind, n).
 // N10 results are bit-identical to the single-node engine they grew out
 // of. Every trial draws from one PRNG stream, math/rand's, reseeded per
 // trial from (Seed, i). The engine's source (mc's lazySource) returns
@@ -41,15 +42,17 @@
 // all 607 of them, so reseeding no longer dominates cheap trials
 // (FuzzLazySource checks it against rand.NewSource).
 //
-// The two engines also compose: mc.SpiceTdpAcrossSizes hosts a full read
-// transient inside every Monte-Carlo trial (SPICE-in-the-loop), with each
-// worker owning a sram.ColumnBuilder session whose resident spice.Engine
-// is re-targeted per trial through Engine.Reset — the sparse matrices,
-// Newton scratch and waveform storage are allocated once per worker, not
-// once per trial, and Reset is bit-identical to a fresh engine (fuzzed in
-// FuzzNetlistReset). Numeric drift across refactors is pinned by golden
-// CSVs under internal/exp/testdata/golden (regenerate with
-// go test ./internal/exp -run Golden -update).
+// The two engines also compose: mc.SpiceTdpAcrossSizes (and its
+// control-variate twin mc.SpiceTdpCVAcrossSizes) hosts a full read
+// transient inside every Monte-Carlo trial (SPICE-in-the-loop), against
+// nominal read times the caller simulates once and shares across
+// options. Each worker owns a sram.ColumnBuilder session whose resident
+// spice.Engine is re-targeted per trial through Engine.Reset — the sparse
+// matrices, Newton scratch and waveform storage are allocated once per
+// worker, not once per trial, and Reset is bit-identical to a fresh
+// engine (fuzzed in FuzzNetlistReset). Numeric drift across refactors is
+// pinned by golden CSVs under internal/exp/testdata/golden (regenerate
+// with go test ./internal/exp -run Golden -update).
 //
 // Experiments are addressed through the workload registry (internal/exp):
 // each experiment registers a Workload descriptor — name, summary, typed

@@ -9,10 +9,10 @@
 // paper-order plan. Typical use:
 //
 //	study, _ := core.NewStudy()
-//	res, _ := study.Run("table4", nil)        // Table IV as a Result
-//	res.Write(os.Stdout, report.FormatJSON)   // any format, one encoder
-//	td, _ := study.ReadTime(litho.LE3, s, 64) // one SPICE read
-//	study.RunAll(os.Stdout)                   // every table and figure
+//	res, _ := study.Run("table4", nil)      // Table IV as a Result
+//	res.Write(os.Stdout, report.FormatJSON) // any format, one encoder
+//	res, _ = study.Run("fig4", nil)         // Fig. 4 from one SPICE sweep
+//	study.RunAll(os.Stdout)                 // every table and figure
 //
 // The typed rows of a workload are res.Data, asserted to the workload's
 // row type (for example []exp.Table1Row for table1).
@@ -143,12 +143,6 @@ func (s *Study) Workloads() []exp.Workload { return exp.Workloads() }
 
 // Model returns the analytical formula parameters for this study.
 func (s *Study) Model() (analytic.Params, error) { return s.Env.Model() }
-
-// ReadTime simulates one read and returns td for option o under variation
-// sample smp at array size n.
-func (s *Study) ReadTime(o litho.Option, smp litho.Sample, n int) (float64, error) {
-	return sram.SimulateTd(s.Env.Proc, o, smp, s.Env.Cap, n, s.Env.Build, s.Env.Sim)
-}
 
 // Ratios extracts the variability ratios for a sample.
 func (s *Study) Ratios(o litho.Option, smp litho.Sample) (extract.Ratios, error) {

@@ -139,6 +139,17 @@ func (s RunSpec) Key() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
+// ShortKey abbreviates a run key to at most 12 bytes for messages. Keys
+// from outside the process (dispatches, artifact headers) may be shorter
+// than a digest, so every abbreviation goes through here, never a bare
+// [:12] slice.
+func ShortKey(key string) string {
+	if len(key) > 12 {
+		return key[:12]
+	}
+	return key
+}
+
 // NewStudy builds a Study configured exactly as the normalized spec
 // describes (process preset, Monte-Carlo seed/budget/stream); extra
 // options — context, progress, worker counts — apply on top and must not

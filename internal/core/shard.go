@@ -172,10 +172,10 @@ func (a *ShardArtifact) Verify(runKey string, shard mc.ShardSpec) error {
 		return fmt.Errorf("core: artifact spec no longer validates: %w", err)
 	}
 	if key != h.RunKey {
-		return fmt.Errorf("core: artifact run key %s does not reproduce under the current engines (%s) — regenerate the shards", h.RunKey[:12], key[:12])
+		return fmt.Errorf("core: artifact run key %s does not reproduce under the current engines (%s) — regenerate the shards", ShortKey(h.RunKey), ShortKey(key))
 	}
 	if runKey != "" && key != runKey {
-		return fmt.Errorf("core: artifact belongs to run %s, want %s", h.RunKey[:12], runKey[:12])
+		return fmt.Errorf("core: artifact belongs to run %s, want %s", ShortKey(h.RunKey), ShortKey(runKey))
 	}
 	return nil
 }
@@ -236,7 +236,7 @@ func RunShard(spec RunSpec, shard mc.ShardSpec, path string, opt ShardRunOptions
 		case rerr == nil:
 			if art.Header.RunKey != key || art.Header.ShardIndex != shard.Index || art.Header.ShardCount != shard.Count {
 				return fmt.Errorf("core: %s belongs to a different run or shard (run %s shard %d/%d, want %s shard %d/%d)",
-					path, art.Header.RunKey[:12], art.Header.ShardIndex, art.Header.ShardCount, key[:12], shard.Index, shard.Count)
+					path, ShortKey(art.Header.RunKey), art.Header.ShardIndex, art.Header.ShardCount, ShortKey(key), shard.Index, shard.Count)
 			}
 			if art.Header.Complete {
 				return nil // nothing to resume — the shard already finished
@@ -305,26 +305,26 @@ func Reduce(paths []string, extra ...Option) (*exp.Result, error) {
 	base := arts[0].Header
 	count := base.ShardCount
 	if len(paths) != count {
-		return nil, fmt.Errorf("core: run %s was split into %d shards, got %d artifacts", base.RunKey[:12], count, len(paths))
+		return nil, fmt.Errorf("core: run %s was split into %d shards, got %d artifacts", ShortKey(base.RunKey), count, len(paths))
 	}
 	parts := make([]*mc.ShardPayload, count)
 	for i, a := range arts {
 		h := a.Header
 		if h.RunKey != base.RunKey || h.ShardCount != count {
 			return nil, fmt.Errorf("core: %s belongs to run %s (%d shards), the set is run %s (%d shards)",
-				paths[i], h.RunKey[:12], h.ShardCount, base.RunKey[:12], count)
+				paths[i], ShortKey(h.RunKey), h.ShardCount, ShortKey(base.RunKey), count)
 		}
 		if h.ShardIndex < 0 || h.ShardIndex >= count {
 			return nil, fmt.Errorf("core: %s claims shard %d of %d", paths[i], h.ShardIndex, count)
 		}
 		if parts[h.ShardIndex] != nil {
-			return nil, fmt.Errorf("core: duplicate artifact for shard %d of run %s", h.ShardIndex, base.RunKey[:12])
+			return nil, fmt.Errorf("core: duplicate artifact for shard %d of run %s", h.ShardIndex, ShortKey(base.RunKey))
 		}
 		parts[h.ShardIndex] = a.Payload
 	}
 	for i, p := range parts {
 		if p == nil {
-			return nil, fmt.Errorf("core: shard %d of run %s is missing from the artifact set", i, base.RunKey[:12])
+			return nil, fmt.Errorf("core: shard %d of run %s is missing from the artifact set", i, ShortKey(base.RunKey))
 		}
 	}
 	spec := base.spec()
@@ -333,7 +333,7 @@ func Reduce(paths []string, extra ...Option) (*exp.Result, error) {
 		return nil, fmt.Errorf("core: artifact spec no longer validates: %w", err)
 	}
 	if key != base.RunKey {
-		return nil, fmt.Errorf("core: artifact run key %s does not reproduce under the current engines (%s) — regenerate the shards", base.RunKey[:12], key[:12])
+		return nil, fmt.Errorf("core: artifact run key %s does not reproduce under the current engines (%s) — regenerate the shards", ShortKey(base.RunKey), ShortKey(key))
 	}
 	rp, err := mc.NewReplay(parts)
 	if err != nil {

@@ -376,6 +376,14 @@ func TestShardArtifactVerify(t *testing.T) {
 		!strings.Contains(err.Error(), "does not reproduce") {
 		t.Fatalf("drifted spec: %v", err)
 	}
+	// A shipped header's key is outside input: an empty one is an error,
+	// never a slice-bounds panic.
+	blank := *art
+	blank.Header.RunKey = ""
+	if err := blank.Verify(key, shard); err == nil ||
+		!strings.Contains(err.Error(), "does not reproduce") {
+		t.Fatalf("empty header key: %v", err)
+	}
 }
 
 // TestShardHeaderSpecRoundTrip: the JSON header reconstructs a spec that

@@ -145,3 +145,19 @@ func TestGoldenMCSpiceX(t *testing.T) {
 	}
 	checkGolden(t, "mcspicex.csv", res.Tables[0])
 }
+
+// TestGoldenSpiceMCCV snapshots the control-variate SPICE-MC at a minimal
+// budget through the registry (mcspice with cv), pinning the paired
+// SPICE+formula trial path and the analytic reference stream together.
+func TestGoldenSpiceMCCV(t *testing.T) {
+	if testing.Short() {
+		t.Skip("SPICE-in-the-loop MC in -short mode")
+	}
+	e := goldenEnv()
+	e.MC.Samples = 12
+	res, err := Run(nil, e, "mcspice", Params{"sizes": "8,16", "cv": true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "mcspicecv.csv", res.Tables[0])
+}

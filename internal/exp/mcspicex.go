@@ -19,7 +19,6 @@ import (
 	"mpsram/internal/litho"
 	"mpsram/internal/mc"
 	"mpsram/internal/report"
-	"mpsram/internal/sram"
 	"mpsram/internal/stats"
 )
 
@@ -50,15 +49,7 @@ func init() {
 				e.Sim.Adaptive = true
 			}
 			if p.Bool("cv") {
-				rows, err := SpiceMCCV(e, sizes)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{
-					Data:   rows,
-					Tables: []*report.Table{SpiceMCCVReport(rows)},
-					Text:   FormatSpiceMCCV(rows, e.MC.Samples),
-				}, nil
+				return spiceMCCVResult(e, sizes)
 			}
 			rows, err := MCSpiceX(e, sizes)
 			if err != nil {
@@ -118,30 +109,17 @@ func (r MCSpiceXRow) SigmaDeltaPct() float64 {
 // with the same (Seed, trial) deviates, summarized side by side. Results
 // are bit-identical for any worker count on both paths.
 func MCSpiceX(e Env, sizes []int) ([]MCSpiceXRow, error) {
-	if e.Cap == nil {
-		return nil, fmt.Errorf("mcspicex: nil capacitance model")
-	}
-	if len(sizes) == 0 {
-		return nil, fmt.Errorf("mcspicex: no array sizes requested")
+	nom, nomTd, err := e.spiceNominals(sizes)
+	if err != nil {
+		return nil, fmt.Errorf("mcspicex: %w", err)
 	}
 	m, err := e.Model()
 	if err != nil {
 		return nil, fmt.Errorf("mcspicex: %w", err)
 	}
-	// Nominal geometry is option-independent: one extraction and one
-	// nominal transient per size serve every option's denominators.
-	seed := sram.NewColumnBuilder(e.Proc, e.Cap)
-	nom, err := seed.Nominal()
-	if err != nil {
-		return nil, fmt.Errorf("mcspicex: nominal extraction: %w", err)
-	}
-	nomTd, err := seed.NominalTds(sizes, e.Build, e.Sim)
-	if err != nil {
-		return nil, fmt.Errorf("mcspicex: %w", err)
-	}
 	var rows []MCSpiceXRow
 	for _, o := range litho.Options {
-		sp, err := mc.SpiceTdpAcrossSizesShared(e.ctx(), e.Proc, o, e.Cap, sizes, nom, nomTd, e.Build, e.Sim, e.MC)
+		sp, err := mc.SpiceTdpAcrossSizes(e.ctx(), e.Proc, o, e.Cap, sizes, nom, nomTd, e.Build, e.Sim, e.MC)
 		if err != nil {
 			return nil, fmt.Errorf("mcspicex %v (spice): %w", o, err)
 		}

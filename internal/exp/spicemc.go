@@ -49,15 +49,7 @@ func init() {
 				e.Sim.Adaptive = true
 			}
 			if p.Bool("cv") {
-				rows, err := SpiceMCCV(e, sizes)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{
-					Data:   rows,
-					Tables: []*report.Table{SpiceMCCVReport(rows)},
-					Text:   FormatSpiceMCCV(rows, e.MC.Samples),
-				}, nil
+				return spiceMCCVResult(e, sizes)
 			}
 			rows, err := SpiceMC(e, sizes)
 			if err != nil {
@@ -88,26 +80,13 @@ type SpiceMCRow struct {
 // the budget accordingly (hundreds of samples, not the analytic path's
 // tens of thousands). Results are bit-identical for any worker count.
 func SpiceMC(e Env, sizes []int) ([]SpiceMCRow, error) {
-	if e.Cap == nil {
-		return nil, fmt.Errorf("spice mc: nil capacitance model")
-	}
-	if len(sizes) == 0 {
-		return nil, fmt.Errorf("spice mc: no array sizes requested")
-	}
-	// Nominal geometry is option-independent: extract and simulate the
-	// tdp denominators once, shared by every option's stream.
-	seed := sram.NewColumnBuilder(e.Proc, e.Cap)
-	nom, err := seed.Nominal()
-	if err != nil {
-		return nil, fmt.Errorf("spice mc: nominal extraction: %w", err)
-	}
-	nomTd, err := seed.NominalTds(sizes, e.Build, e.Sim)
+	nom, nomTd, err := e.spiceNominals(sizes)
 	if err != nil {
 		return nil, fmt.Errorf("spice mc: %w", err)
 	}
 	var rows []SpiceMCRow
 	for _, o := range litho.Options {
-		vr, err := mc.SpiceTdpAcrossSizesShared(e.ctx(), e.Proc, o, e.Cap, sizes, nom, nomTd, e.Build, e.Sim, e.MC)
+		vr, err := mc.SpiceTdpAcrossSizes(e.ctx(), e.Proc, o, e.Cap, sizes, nom, nomTd, e.Build, e.Sim, e.MC)
 		if err != nil {
 			return nil, fmt.Errorf("spice mc %v: %w", o, err)
 		}
@@ -116,6 +95,29 @@ func SpiceMC(e Env, sizes []int) ([]SpiceMCRow, error) {
 		}
 	}
 	return rows, nil
+}
+
+// spiceNominals resolves the option-independent inputs every SPICE-MC
+// stream of a driver shares: the nominal per-cell parasitics and the
+// nominal read time per size (the tdp denominators), extracted and
+// simulated once for all options.
+func (e Env) spiceNominals(sizes []int) (sram.CellParasitics, []float64, error) {
+	if e.Cap == nil {
+		return sram.CellParasitics{}, nil, fmt.Errorf("nil capacitance model")
+	}
+	if len(sizes) == 0 {
+		return sram.CellParasitics{}, nil, fmt.Errorf("no array sizes requested")
+	}
+	seed := sram.NewColumnBuilder(e.Proc, e.Cap)
+	nom, err := seed.Nominal()
+	if err != nil {
+		return sram.CellParasitics{}, nil, fmt.Errorf("nominal extraction: %w", err)
+	}
+	nomTd, err := seed.NominalTds(sizes, e.Build, e.Sim)
+	if err != nil {
+		return sram.CellParasitics{}, nil, err
+	}
+	return nom, nomTd, nil
 }
 
 // FormatSpiceMC renders the distributions paper-style. samples is the

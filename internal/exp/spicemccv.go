@@ -15,7 +15,6 @@ import (
 	"mpsram/internal/litho"
 	"mpsram/internal/mc"
 	"mpsram/internal/report"
-	"mpsram/internal/sram"
 	"mpsram/internal/stats"
 )
 
@@ -69,22 +68,11 @@ type SpiceMCCVRow struct {
 // plain driver's, and both streams are bit-identical for any worker
 // count.
 func SpiceMCCV(e Env, sizes []int) ([]SpiceMCCVRow, error) {
-	if e.Cap == nil {
-		return nil, fmt.Errorf("spice mc cv: nil capacitance model")
-	}
-	if len(sizes) == 0 {
-		return nil, fmt.Errorf("spice mc cv: no array sizes requested")
-	}
-	m, err := e.Model()
+	nom, nomTd, err := e.spiceNominals(sizes)
 	if err != nil {
 		return nil, fmt.Errorf("spice mc cv: %w", err)
 	}
-	seed := sram.NewColumnBuilder(e.Proc, e.Cap)
-	nom, err := seed.Nominal()
-	if err != nil {
-		return nil, fmt.Errorf("spice mc cv: nominal extraction: %w", err)
-	}
-	nomTd, err := seed.NominalTds(sizes, e.Build, e.Sim)
+	m, err := e.Model()
 	if err != nil {
 		return nil, fmt.Errorf("spice mc cv: %w", err)
 	}
@@ -98,7 +86,7 @@ func SpiceMCCV(e Env, sizes []int) ([]SpiceMCCVRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("spice mc cv %v (reference): %w", o, err)
 		}
-		cvr, err := mc.SpiceTdpCVAcrossSizesShared(e.ctx(), e.Proc, o, m, e.Cap, sizes, nom, nomTd, e.Build, e.Sim, e.MC)
+		cvr, err := mc.SpiceTdpCVAcrossSizes(e.ctx(), e.Proc, o, m, e.Cap, sizes, nom, nomTd, e.Build, e.Sim, e.MC)
 		if err != nil {
 			return nil, fmt.Errorf("spice mc cv %v: %w", o, err)
 		}
@@ -129,6 +117,20 @@ func SpiceMCCV(e Env, sizes []int) ([]SpiceMCCVRow, error) {
 		}
 	}
 	return rows, nil
+}
+
+// spiceMCCVResult runs the control-variate estimator behind the cv
+// parameter of mcspice and mcspicex.
+func spiceMCCVResult(e Env, sizes []int) (*Result, error) {
+	rows, err := SpiceMCCV(e, sizes)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		Data:   rows,
+		Tables: []*report.Table{SpiceMCCVReport(rows)},
+		Text:   FormatSpiceMCCV(rows, e.MC.Samples),
+	}, nil
 }
 
 // FormatSpiceMCCV renders the control-variate distributions paper-style.

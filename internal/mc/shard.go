@@ -31,10 +31,15 @@ type ShardSpec struct {
 	Index, Count int
 }
 
+// maxShards bounds ShardSpec.Count: the block count of the largest
+// stream (MaxSamples trials). Shards beyond it would always be empty, and
+// the bound keeps Index·nblocks ≤ 2³² in blockRange.
+const maxShards = MaxSamples / blockSize
+
 // Validate checks the shard coordinates.
 func (s ShardSpec) Validate() error {
-	if s.Count < 1 {
-		return fmt.Errorf("mc: shard count %d < 1", s.Count)
+	if s.Count < 1 || s.Count > maxShards {
+		return fmt.Errorf("mc: shard count %d outside [1,%d]", s.Count, maxShards)
 	}
 	if s.Index < 0 || s.Index >= s.Count {
 		return fmt.Errorf("mc: shard index %d outside [0,%d)", s.Index, s.Count)

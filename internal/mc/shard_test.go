@@ -487,13 +487,16 @@ func TestShardEmptyRange(t *testing.T) {
 
 // TestShardSpecValidate covers the coordinate guards.
 func TestShardSpecValidate(t *testing.T) {
-	for _, s := range []ShardSpec{{0, 0}, {-1, 3}, {3, 3}, {5, 2}} {
+	// {2⁶⁰, 2⁶¹} would overflow Index·nblocks in blockRange.
+	for _, s := range []ShardSpec{{0, 0}, {-1, 3}, {3, 3}, {5, 2}, {1 << 60, 1 << 61}, {0, maxShards + 1}} {
 		if err := s.Validate(); err == nil {
 			t.Fatalf("spec %+v validated", s)
 		}
 	}
-	if err := (ShardSpec{Index: 2, Count: 3}).Validate(); err != nil {
-		t.Fatal(err)
+	for _, s := range []ShardSpec{{2, 3}, {maxShards - 1, maxShards}} {
+		if err := s.Validate(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -29,46 +29,20 @@ import (
 // engine, so the hot loop reuses the netlist scratch, the sparse matrices
 // and the Newton/waveform buffers across all trials.
 //
+// The nominal inputs are the caller's: nom is the nominal per-cell
+// parasitics (sram.NominalParasitics) and nomTd the nominal read time per
+// size (sram.ColumnBuilder.NominalTds), the tdp denominators. Nominal
+// geometry is option-independent, so a driver sweeping several options
+// over the same sizes resolves them once and shares them across every
+// stream.
+//
 // The per-trial sample stream is identical to the analytic
 // TdpAcrossSizes for the same (Seed, Samples): both consume the same
 // litho.Params draws in the same order, so the two paths are directly
 // comparable draw by draw.
-func SpiceTdpAcrossSizes(ctx context.Context, p tech.Process, o litho.Option, cm extract.CapModel, sizes []int, bopt sram.BuildOptions, sopt sram.SimOptions, cfg Config) (*VectorResult, error) {
-	if cm == nil {
-		return nil, fmt.Errorf("mc: nil capacitance model")
-	}
-	if len(sizes) == 0 {
-		return nil, fmt.Errorf("mc: no array sizes requested")
-	}
-	// Shared read-only inputs, resolved once: the nominal extraction and
-	// the nominal read time per size (the tdp denominators).
-	seed := sram.NewColumnBuilder(p, cm)
-	nom, err := seed.Nominal()
-	if err != nil {
-		return nil, fmt.Errorf("mc: nominal extraction: %w", err)
-	}
-	nomTd, err := seed.NominalTds(sizes, bopt, sopt)
-	if err != nil {
+func SpiceTdpAcrossSizes(ctx context.Context, p tech.Process, o litho.Option, cm extract.CapModel, sizes []int, nom sram.CellParasitics, nomTd []float64, bopt sram.BuildOptions, sopt sram.SimOptions, cfg Config) (*VectorResult, error) {
+	if err := checkSpiceInputs(cm, sizes, nomTd); err != nil {
 		return nil, err
-	}
-	return SpiceTdpAcrossSizesShared(ctx, p, o, cm, sizes, nom, nomTd, bopt, sopt, cfg)
-}
-
-// SpiceTdpAcrossSizesShared is SpiceTdpAcrossSizes with the nominal
-// inputs precomputed by the caller. Nominal geometry is
-// option-independent, so a driver sweeping several options over the same
-// sizes resolves sram.NominalParasitics and NominalTds once and shares
-// them across every stream instead of re-simulating the nominal reads
-// per option (the same dedup rule the sweep engine applies to its plans).
-func SpiceTdpAcrossSizesShared(ctx context.Context, p tech.Process, o litho.Option, cm extract.CapModel, sizes []int, nom sram.CellParasitics, nomTd []float64, bopt sram.BuildOptions, sopt sram.SimOptions, cfg Config) (*VectorResult, error) {
-	if cm == nil {
-		return nil, fmt.Errorf("mc: nil capacitance model")
-	}
-	if len(sizes) == 0 {
-		return nil, fmt.Errorf("mc: no array sizes requested")
-	}
-	if len(nomTd) != len(sizes) {
-		return nil, fmt.Errorf("mc: %d nominal read times for %d sizes", len(nomTd), len(sizes))
 	}
 	cfg.WorkerState = func() any {
 		b := sram.NewColumnBuilder(p, cm)
@@ -80,27 +54,21 @@ func SpiceTdpAcrossSizesShared(ctx context.Context, p tech.Process, o litho.Opti
 	})
 }
 
-// SpiceTdpCVAcrossSizesShared is SpiceTdpAcrossSizesShared on the paired
+// SpiceTdpCVAcrossSizes is SpiceTdpAcrossSizes on the paired
 // control-variate path: every trial runs the full read transients *and*
 // evaluates the closed-form tdp model m on the same extracted ratios, so
 // the result carries the paired moments (β̂, ρ̂, corrected mean/σ, the
 // measured variance-reduction factor) next to the plain SPICE statistics.
 // The SPICE observable stream is bitwise identical to
-// SpiceTdpAcrossSizesShared for the same (Seed, Samples): the control
-// rides the extraction the SPICE trial already performs, it never
-// consumes extra deviates.
-func SpiceTdpCVAcrossSizesShared(ctx context.Context, p tech.Process, o litho.Option, m analytic.Params, cm extract.CapModel, sizes []int, nom sram.CellParasitics, nomTd []float64, bopt sram.BuildOptions, sopt sram.SimOptions, cfg Config) (*CVVectorResult, error) {
-	if cm == nil {
-		return nil, fmt.Errorf("mc: nil capacitance model")
+// SpiceTdpAcrossSizes for the same (Seed, Samples): the control rides the
+// extraction the SPICE trial already performs, it never consumes extra
+// deviates.
+func SpiceTdpCVAcrossSizes(ctx context.Context, p tech.Process, o litho.Option, m analytic.Params, cm extract.CapModel, sizes []int, nom sram.CellParasitics, nomTd []float64, bopt sram.BuildOptions, sopt sram.SimOptions, cfg Config) (*CVVectorResult, error) {
+	if err := checkSpiceInputs(cm, sizes, nomTd); err != nil {
+		return nil, err
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err
-	}
-	if len(sizes) == 0 {
-		return nil, fmt.Errorf("mc: no array sizes requested")
-	}
-	if len(nomTd) != len(sizes) {
-		return nil, fmt.Errorf("mc: %d nominal read times for %d sizes", len(nomTd), len(sizes))
 	}
 	ctrl := func(n int, r extract.Ratios) float64 { return m.TdpPct(n, r.Rvar, r.Cvar) }
 	cfg.WorkerState = func() any {
@@ -111,4 +79,19 @@ func SpiceTdpCVAcrossSizesShared(ctx context.Context, p tech.Process, o litho.Op
 	return RunVectorPaired(ctx, cfg, len(sizes), func(state any, rng *rand.Rand, y, x []float64) bool {
 		return state.(func(*rand.Rand, []float64, []float64) bool)(rng, y, x)
 	})
+}
+
+// checkSpiceInputs validates the inputs both SPICE-in-the-loop streams
+// share.
+func checkSpiceInputs(cm extract.CapModel, sizes []int, nomTd []float64) error {
+	if cm == nil {
+		return fmt.Errorf("mc: nil capacitance model")
+	}
+	if len(sizes) == 0 {
+		return fmt.Errorf("mc: no array sizes requested")
+	}
+	if len(nomTd) != len(sizes) {
+		return fmt.Errorf("mc: %d nominal read times for %d sizes", len(nomTd), len(sizes))
+	}
+	return nil
 }

@@ -22,10 +22,34 @@ func spiceMCCfg(samples, workers int) Config {
 	return Config{Samples: samples, Seed: 2015, Workers: workers}
 }
 
+// spiceNominals resolves the nominal inputs SpiceTdpAcrossSizes takes:
+// the nominal parasitics and the nominal read time per size.
+func spiceNominals(t *testing.T, p tech.Process, cm extract.CapModel, sizes []int, sopt sram.SimOptions) (sram.CellParasitics, []float64) {
+	t.Helper()
+	b := sram.NewColumnBuilder(p, cm)
+	nom, err := b.Nominal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nomTd, err := b.NominalTds(sizes, sram.BuildOptions{}, sopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nom, nomTd
+}
+
+// spiceTdp runs SpiceTdpAcrossSizes for option o on N10 with nominal
+// inputs resolved by spiceNominals.
+func spiceTdp(t *testing.T, ctx context.Context, o litho.Option, sizes []int, sopt sram.SimOptions, cfg Config) (*VectorResult, error) {
+	t.Helper()
+	p, cm := tech.N10(), extract.SakuraiTamaru{}
+	nom, nomTd := spiceNominals(t, p, cm, sizes, sopt)
+	return SpiceTdpAcrossSizes(ctx, p, o, cm, sizes, nom, nomTd, sram.BuildOptions{}, sopt, cfg)
+}
+
 func runSpiceMC(t *testing.T, ctx context.Context, cfg Config) (*VectorResult, error) {
 	t.Helper()
-	return SpiceTdpAcrossSizes(ctx, tech.N10(), litho.EUV, extract.SakuraiTamaru{},
-		spiceMCSizes, sram.BuildOptions{}, sram.SimOptions{}, cfg)
+	return spiceTdp(t, ctx, litho.EUV, spiceMCSizes, sram.SimOptions{}, cfg)
 }
 
 func TestSpiceTdpAcrossSizesBitIdenticalAcrossWorkers(t *testing.T) {
@@ -137,8 +161,7 @@ func TestSpiceTdpAcrossSizesCancellation(t *testing.T) {
 	// Coarse-step trials (forced 1 ps step, tiny column) keep the
 	// block-granular cancellation latency cheap: accuracy is irrelevant
 	// here, only the engine's control flow.
-	_, err := SpiceTdpAcrossSizes(ctx, tech.N10(), litho.EUV, extract.SakuraiTamaru{},
-		[]int{2}, sram.BuildOptions{}, sram.SimOptions{Dt: 1e-12}, cfg)
+	_, err := spiceTdp(t, ctx, litho.EUV, []int{2}, sram.SimOptions{Dt: 1e-12}, cfg)
 	if err == nil {
 		t.Fatal("canceled run returned no error")
 	}
@@ -155,13 +178,27 @@ func TestSpiceTdpAcrossSizesCancellation(t *testing.T) {
 }
 
 func TestSpiceTdpAcrossSizesValidatesInputs(t *testing.T) {
-	if _, err := SpiceTdpAcrossSizes(context.Background(), tech.N10(), litho.EUV,
-		nil, spiceMCSizes, sram.BuildOptions{}, sram.SimOptions{}, spiceMCCfg(4, 1)); err == nil {
-		t.Fatal("nil capacitance model accepted")
-	}
-	if _, err := SpiceTdpAcrossSizes(context.Background(), tech.N10(), litho.EUV,
-		extract.SakuraiTamaru{}, nil, sram.BuildOptions{}, sram.SimOptions{}, spiceMCCfg(4, 1)); err == nil {
-		t.Fatal("empty size list accepted")
+	ctx, p, cm := context.Background(), tech.N10(), extract.SakuraiTamaru{}
+	_, m := model(t)
+	nomTd := make([]float64, len(spiceMCSizes))
+	for _, c := range []struct {
+		name  string
+		cm    extract.CapModel
+		sizes []int
+		nomTd []float64
+	}{
+		{"nil capacitance model", nil, spiceMCSizes, nomTd},
+		{"empty size list", cm, nil, nil},
+		{"nominal/size length mismatch", cm, spiceMCSizes, nomTd[:1]},
+	} {
+		if _, err := SpiceTdpAcrossSizes(ctx, p, litho.EUV, c.cm, c.sizes, sram.CellParasitics{}, c.nomTd,
+			sram.BuildOptions{}, sram.SimOptions{}, spiceMCCfg(4, 1)); err == nil {
+			t.Fatalf("plain: %s accepted", c.name)
+		}
+		if _, err := SpiceTdpCVAcrossSizes(ctx, p, litho.EUV, m, c.cm, c.sizes, sram.CellParasitics{}, c.nomTd,
+			sram.BuildOptions{}, sram.SimOptions{}, spiceMCCfg(4, 1)); err == nil {
+			t.Fatalf("paired: %s accepted", c.name)
+		}
 	}
 }
 

@@ -164,6 +164,12 @@ func TestWorkerRefusals(t *testing.T) {
 	if code, msg := post(badKey); code != http.StatusConflict || !strings.Contains(msg, "run-key drift") {
 		t.Fatalf("run-key drift: %d %q", code, msg)
 	}
+	// A run key shorter than the 12-byte abbreviation is refused, not a
+	// slice-bounds panic that drops the connection.
+	shortKey := NewShardRequest(spec, shard, "abc", nil)
+	if code, msg := post(shortKey); code != http.StatusConflict || !strings.Contains(msg, "run-key drift") {
+		t.Fatalf("short run key: %d %q", code, msg)
+	}
 	unknown := NewShardRequest(core.RunSpec{Workload: "nope"}, shard, key, nil)
 	if code, _ := post(unknown); code != http.StatusBadRequest {
 		t.Fatalf("unknown workload: %d", code)
@@ -171,6 +177,12 @@ func TestWorkerRefusals(t *testing.T) {
 	badShard := NewShardRequest(spec, mc.ShardSpec{Index: 5, Count: 2}, key, nil)
 	if code, _ := post(badShard); code != http.StatusBadRequest {
 		t.Fatalf("invalid shard: %d", code)
+	}
+	// Coordinates whose Index·nblocks overflows are refused before any
+	// trial runs.
+	overflow := NewShardRequest(spec, mc.ShardSpec{Index: 1 << 60, Count: 1 << 61}, key, nil)
+	if code, msg := post(overflow); code != http.StatusBadRequest || !strings.Contains(msg, "shard count") {
+		t.Fatalf("overflowing shard: %d %q", code, msg)
 	}
 	junkCkpt := NewShardRequest(spec, shard, key, []byte("not an artifact"))
 	if code, msg := post(junkCkpt); code != http.StatusBadRequest || !strings.Contains(msg, "checkpoint") {

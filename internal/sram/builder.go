@@ -1,29 +1,28 @@
 package sram
 
 import (
-	"fmt"
-
 	"mpsram/internal/circuit"
 	"mpsram/internal/device"
 	"mpsram/internal/extract"
-	"mpsram/internal/litho"
 	"mpsram/internal/spice"
 	"mpsram/internal/tech"
 )
 
 // ColumnBuilder is a per-worker column construction and simulation
-// session — the reusable path behind the SPICE sweep engine. The one-shot
-// SimulateTd/TdPenaltyPct path re-extracts the nominal parasitics,
-// re-instantiates the device cards and reallocates the whole netlist for
-// every trial; a ColumnBuilder amortizes all three across however many
+// session — the resident-engine read path behind the SPICE sweep engine
+// and the SPICE-in-the-loop Monte-Carlo. Building a fresh Column
+// (BuildColumn + Column.MeasureTd) re-instantiates the device cards,
+// reallocates the whole netlist and constructs a new engine for every
+// read; a ColumnBuilder amortizes all three across however many
 // (sample, size) points a sweep visits: it caches the nominal per-cell
-// parasitics and the extracted variability ratios per (option, sample),
-// shares one NMOS/PMOS model card pair across builds, and rebuilds every
-// column into one reusable netlist.
+// parasitics, shares one NMOS/PMOS model card pair across builds,
+// rebuilds every column into one reusable netlist and re-targets one
+// resident SPICE engine.
 //
-// Results are bit-identical to the one-shot path: construction is
-// deterministic and the cached values are pure functions of the inputs, so
-// caching only removes recomputation, never changes a float.
+// Results are bit-identical to the fresh-engine path: construction is
+// deterministic, the cached values are pure functions of the inputs and
+// spice.Engine.Reset matches a fresh engine, so reuse only removes
+// recomputation, never changes a float.
 //
 // A ColumnBuilder is not safe for concurrent use; give each worker its
 // own.
@@ -36,7 +35,6 @@ type ColumnBuilder struct {
 
 	haveNom bool
 	nom     CellParasitics
-	ratios  map[ratioKey]extract.Ratios
 
 	// scratch is the reused netlist; the Column returned by Build aliases
 	// it and stays valid only until the next Build call.
@@ -48,20 +46,14 @@ type ColumnBuilder struct {
 	eng *spice.Engine
 }
 
-type ratioKey struct {
-	Option litho.Option
-	Sample litho.Sample
-}
-
 // NewColumnBuilder returns a session for process p and capacitance model
 // cm.
 func NewColumnBuilder(p tech.Process, cm extract.CapModel) *ColumnBuilder {
 	return &ColumnBuilder{
-		Proc:   p,
-		Cap:    cm,
-		nmos:   device.NewNMOS(p.FEOL),
-		pmos:   device.NewPMOS(p.FEOL),
-		ratios: make(map[ratioKey]extract.Ratios),
+		Proc: p,
+		Cap:  cm,
+		nmos: device.NewNMOS(p.FEOL),
+		pmos: device.NewPMOS(p.FEOL),
 	}
 }
 
@@ -82,20 +74,6 @@ func (b *ColumnBuilder) Nominal() (CellParasitics, error) {
 // coordinator extract once and share the value across per-worker builders.
 func (b *ColumnBuilder) SetNominal(nom CellParasitics) {
 	b.nom, b.haveNom = nom, true
-}
-
-// Ratios returns the variability ratios for (o, s), memoized per session.
-func (b *ColumnBuilder) Ratios(o litho.Option, s litho.Sample) (extract.Ratios, error) {
-	k := ratioKey{Option: o, Sample: s}
-	if r, ok := b.ratios[k]; ok {
-		return r, nil
-	}
-	r, err := extract.VarRatios(b.Proc, o, s, b.Cap)
-	if err != nil {
-		return extract.Ratios{}, err
-	}
-	b.ratios[k] = r
-	return r, nil
 }
 
 // Build constructs the column into the session's reusable netlist scratch.
@@ -134,36 +112,4 @@ func (b *ColumnBuilder) MeasureTd(n int, cp CellParasitics, bopt BuildOptions, s
 		return 0, err
 	}
 	return res.Td, nil
-}
-
-// SimulateTd simulates one read for option o under variation sample s at
-// array size n — the session equivalent of the package-level SimulateTd.
-func (b *ColumnBuilder) SimulateTd(o litho.Option, s litho.Sample, n int, bopt BuildOptions, sopt SimOptions) (float64, error) {
-	nom, err := b.Nominal()
-	if err != nil {
-		return 0, err
-	}
-	r, err := b.Ratios(o, s)
-	if err != nil {
-		return 0, err
-	}
-	return b.MeasureTd(n, nom.Scale(r), bopt, sopt)
-}
-
-// TdPenaltyPct simulates the nominal and perturbed reads and returns the
-// paper's tdp figure — the session equivalent of the package-level
-// TdPenaltyPct.
-func (b *ColumnBuilder) TdPenaltyPct(o litho.Option, s litho.Sample, n int, bopt BuildOptions, sopt SimOptions) (tdp, td, tdnom float64, err error) {
-	tdnom, err = b.SimulateTd(o, litho.Nominal, n, bopt, sopt)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	td, err = b.SimulateTd(o, s, n, bopt, sopt)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if tdnom <= 0 {
-		return 0, 0, 0, fmt.Errorf("sram: non-positive nominal td %g", tdnom)
-	}
-	return (td/tdnom - 1) * 100, td, tdnom, nil
 }

@@ -8,38 +8,40 @@ import (
 	"mpsram/internal/tech"
 )
 
+// TestColumnBuilderMatchesOneShotPath pins the resident-engine read
+// against the fresh-engine one: a new Column per read (BuildColumn +
+// Column.MeasureTd) must give the same td, bit for bit, for nominal and
+// perturbed parasitics at several sizes on one reused session.
 func TestColumnBuilderMatchesOneShotPath(t *testing.T) {
 	p := tech.N10()
 	cm := extract.SakuraiTamaru{}
 	b := NewColumnBuilder(p, cm)
+	nom, err := b.Nominal()
+	if err != nil {
+		t.Fatal(err)
+	}
 	wc, err := extract.WorstCase(p, litho.SADP, cm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{16, 64} {
-		got, err := b.SimulateTd(litho.SADP, wc.Sample, n, BuildOptions{}, SimOptions{})
-		if err != nil {
-			t.Fatal(err)
+	for _, cp := range []CellParasitics{nom, nom.Scale(wc.Ratios)} {
+		for _, n := range []int{16, 64} {
+			got, err := b.MeasureTd(n, cp, BuildOptions{}, SimOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			col, err := BuildColumn(p, n, cp, BuildOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := col.MeasureTd(cp, SimOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want.Td {
+				t.Fatalf("n=%d: builder td %g != fresh-engine td %g", n, got, want.Td)
+			}
 		}
-		want, err := SimulateTd(p, litho.SADP, wc.Sample, cm, n, BuildOptions{}, SimOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("n=%d: builder td %g != one-shot td %g", n, got, want)
-		}
-	}
-	// Penalty wrapper agrees too (and exercises the nominal cache twice).
-	tdp1, td1, nom1, err := b.TdPenaltyPct(litho.SADP, wc.Sample, 16, BuildOptions{}, SimOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tdp2, td2, nom2, err := TdPenaltyPct(p, litho.SADP, wc.Sample, cm, 16, BuildOptions{}, SimOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tdp1 != tdp2 || td1 != td2 || nom1 != nom2 {
-		t.Fatalf("penalty mismatch: (%g,%g,%g) vs (%g,%g,%g)", tdp1, td1, nom1, tdp2, td2, nom2)
 	}
 }
 
@@ -73,33 +75,5 @@ func TestColumnBuilderScratchReuse(t *testing.T) {
 	}
 	if col.BLSense != ref.BLSense || col.BLFar != ref.BLFar || col.Q != ref.Q {
 		t.Fatal("probe node ids differ between fresh and reused builds")
-	}
-}
-
-func TestColumnBuilderRatioCache(t *testing.T) {
-	p := tech.N10()
-	cm := extract.SakuraiTamaru{}
-	b := NewColumnBuilder(p, cm)
-	s := litho.Sample{CDEUV: 1e-9}
-	r1, err := b.Ratios(litho.EUV, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := extract.VarRatios(p, litho.EUV, s, cm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1 != want {
-		t.Fatalf("cached ratios %+v != direct %+v", r1, want)
-	}
-	r2, err := b.Ratios(litho.EUV, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2 != r1 {
-		t.Fatal("second lookup must serve the cached value")
-	}
-	if len(b.ratios) != 1 {
-		t.Fatalf("ratio cache size %d, want 1", len(b.ratios))
 	}
 }

@@ -53,64 +53,61 @@ func (b *ColumnBuilder) NominalTds(sizes []int, bopt BuildOptions, sopt SimOptio
 // engine, so it inherits the session's concurrency contract: one builder
 // per worker.
 func (b *ColumnBuilder) TrialFunc(o litho.Option, sizes []int, nomTd []float64, bopt BuildOptions, sopt SimOptions) func(*rand.Rand, []float64) bool {
-	params := litho.Params(b.Proc, o)
+	measure := b.trial(o, sizes, nomTd, bopt, sopt)
 	return func(rng *rand.Rand, out []float64) bool {
-		s := litho.Draw(params, rng)
-		// VarRatios directly, not the session memo: continuous random
-		// samples never repeat, so memoizing them would only grow the map.
-		r, err := extract.VarRatios(b.Proc, o, s, b.Cap)
-		if err != nil {
+		_, ok := measure(rng, out)
+		return ok
+	}
+}
+
+// PairedTrialFunc is TrialFunc's control-variate companion: the same
+// draw → extract → transient trial writes the SPICE-measured penalty into
+// y[j], and ctrl — a cheap model of the tdp penalty as a function of the
+// array size and the extracted variability ratios (in practice the
+// paper's closed-form formula) — evaluated on the *same* extracted ratios
+// fills x[j]. Because both observables share one draw and one extraction,
+// the pair is maximally correlated by construction and the SPICE stream
+// is bitwise identical to TrialFunc's for the same (Seed, trial).
+//
+// ctrl must be deterministic and reentrant: one closure is shared across
+// workers (it closes over read-only model parameters, not sessions).
+func (b *ColumnBuilder) PairedTrialFunc(o litho.Option, sizes []int, nomTd []float64, ctrl func(n int, r extract.Ratios) float64, bopt BuildOptions, sopt SimOptions) func(*rand.Rand, []float64, []float64) bool {
+	measure := b.trial(o, sizes, nomTd, bopt, sopt)
+	return func(rng *rand.Rand, y, x []float64) bool {
+		r, ok := measure(rng, y)
+		if !ok {
 			return false
 		}
-		nom, err := b.Nominal()
-		if err != nil {
-			return false
-		}
-		cp := nom.Scale(r)
 		for j, n := range sizes {
-			td, err := b.MeasureTd(n, cp, bopt, sopt)
-			if err != nil {
-				return false
-			}
-			out[j] = (td/nomTd[j] - 1) * 100
+			x[j] = ctrl(n, r)
 		}
 		return true
 	}
 }
 
-// PairedTrialFunc is TrialFunc's control-variate companion: the same
-// draw → extract → transient pipeline, but each trial additionally
-// evaluates ctrl — a cheap model of the tdp penalty as a function of the
-// array size and the extracted variability ratios (in practice the
-// paper's closed-form formula) — on the *same* extracted ratios, writing
-// the SPICE-measured penalty into y[j] and the control into x[j]. Because
-// both observables share one draw and one extraction, the pair is
-// maximally correlated by construction and the SPICE stream is bitwise
-// identical to TrialFunc's for the same (Seed, trial).
-//
-// ctrl must be deterministic and reentrant: one closure is shared across
-// workers (it closes over read-only model parameters, not sessions).
-func (b *ColumnBuilder) PairedTrialFunc(o litho.Option, sizes []int, nomTd []float64, ctrl func(n int, r extract.Ratios) float64, bopt BuildOptions, sopt SimOptions) func(*rand.Rand, []float64, []float64) bool {
+// trial is the draw → extract → scale → measure loop both trial functions
+// share: it writes the tdp penalty per size into out and returns the
+// extracted ratios, or false when the draw is rejected.
+func (b *ColumnBuilder) trial(o litho.Option, sizes []int, nomTd []float64, bopt BuildOptions, sopt SimOptions) func(*rand.Rand, []float64) (extract.Ratios, bool) {
 	params := litho.Params(b.Proc, o)
-	return func(rng *rand.Rand, y, x []float64) bool {
+	return func(rng *rand.Rand, out []float64) (extract.Ratios, bool) {
 		s := litho.Draw(params, rng)
 		r, err := extract.VarRatios(b.Proc, o, s, b.Cap)
 		if err != nil {
-			return false
+			return r, false
 		}
 		nom, err := b.Nominal()
 		if err != nil {
-			return false
+			return r, false
 		}
 		cp := nom.Scale(r)
 		for j, n := range sizes {
 			td, err := b.MeasureTd(n, cp, bopt, sopt)
 			if err != nil {
-				return false
+				return r, false
 			}
-			y[j] = (td/nomTd[j] - 1) * 100
-			x[j] = ctrl(n, r)
+			out[j] = (td/nomTd[j] - 1) * 100
 		}
-		return true
+		return r, true
 	}
 }

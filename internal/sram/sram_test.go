@@ -172,21 +172,36 @@ func TestReadWaveformHealth(t *testing.T) {
 	}
 }
 
+// worstCaseTdp simulates the paper's worst-case read-time penalty
+// (td/tdnom − 1)·100 for option o at array size n on the fresh-engine
+// read path.
+func worstCaseTdp(t *testing.T, o litho.Option, n int) float64 {
+	t.Helper()
+	p, nom := nominal(t)
+	wc, err := extract.WorstCase(p, o, cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func(cp CellParasitics) float64 {
+		col, err := BuildColumn(p, n, cp, BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr, err := col.MeasureTd(cp, SimOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rr.Td
+	}
+	return (read(nom.Scale(wc.Ratios))/read(nom) - 1) * 100
+}
+
 func TestWorstCaseTdpFig4Shape(t *testing.T) {
 	// Fig. 4 reproduction gate at n=64: LE3 tdp in the 15–30 % band,
 	// SADP and EUV below 5 %.
-	p, _ := nominal(t)
 	tdps := map[litho.Option]float64{}
 	for _, o := range litho.Options {
-		wc, err := extract.WorstCase(p, o, cm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tdp, _, _, err := TdPenaltyPct(p, o, wc.Sample, cm, 64, BuildOptions{}, SimOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tdps[o] = tdp
+		tdps[o] = worstCaseTdp(t, o, 64)
 	}
 	if tdps[litho.LE3] < 12 || tdps[litho.LE3] > 32 {
 		t.Errorf("LE3 tdp %.2f%% outside the ~20%% band", tdps[litho.LE3])
@@ -208,24 +223,12 @@ func TestEUVTdpTurnsNegativeAtLargeArrays(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-array transient")
 	}
-	p, _ := nominal(t)
-	wc, err := extract.WorstCase(p, litho.EUV, cm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tdp, _, _, err := TdPenaltyPct(p, litho.EUV, wc.Sample, cm, 1024, BuildOptions{}, SimOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tdp := worstCaseTdp(t, litho.EUV, 1024)
 	if tdp >= 0.5 {
 		t.Fatalf("EUV tdp at n=1024 = %.2f%%, want near/below zero", tdp)
 	}
 	// SADP stays positive at n=1024 (the RVSS anti-correlation effect).
-	wcS, _ := extract.WorstCase(p, litho.SADP, cm)
-	tdpS, _, _, err := TdPenaltyPct(p, litho.SADP, wcS.Sample, cm, 1024, BuildOptions{}, SimOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tdpS := worstCaseTdp(t, litho.SADP, 1024)
 	if tdpS <= 0 {
 		t.Fatalf("SADP tdp at n=1024 = %.2f%%, want positive (RVSS effect)", tdpS)
 	}
@@ -289,13 +292,27 @@ func TestVssTapOption(t *testing.T) {
 	}
 }
 
-func TestSimulateTdErrors(t *testing.T) {
-	p, _ := nominal(t)
-	if _, err := SimulateTd(p, litho.LE3, litho.Sample{OLB: 30e-9}, cm, 16, BuildOptions{}, SimOptions{}); err == nil {
-		t.Fatal("collapsed geometry must propagate an error")
+func TestMeasureTdErrors(t *testing.T) {
+	p, cp := nominal(t)
+	b := NewColumnBuilder(p, cm)
+	if _, err := b.MeasureTd(0, cp, BuildOptions{}, SimOptions{}); err == nil {
+		t.Fatal("builder must propagate column build errors")
 	}
-	if _, _, _, err := TdPenaltyPct(p, litho.LE3, litho.Sample{OLB: 30e-9}, cm, 16, BuildOptions{}, SimOptions{}); err == nil {
-		t.Fatal("TdPenaltyPct must propagate errors")
+	// A sub-picosecond window never reaches the sense threshold, on the
+	// resident engine and on a fresh one alike.
+	short := SimOptions{TEnd: 1e-15}
+	if _, err := b.MeasureTd(16, cp, BuildOptions{}, short); err == nil {
+		t.Fatal("resident-engine read must fail when the sense threshold is never reached")
+	}
+	col, err := BuildColumn(p, 16, cp, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := col.MeasureTd(cp, short); err == nil {
+		t.Fatal("fresh-engine read must fail when the sense threshold is never reached")
+	}
+	if _, err := b.NominalTds([]int{16}, BuildOptions{}, short); err == nil {
+		t.Fatal("NominalTds must propagate read errors")
 	}
 }
 

@@ -3,36 +3,32 @@
 // multi-node extensions.
 //
 // Callers describe what they need as a declarative Plan of simulation
-// points keyed by (process, option, sample kind, array size); the engine
+// points keyed by (option, sample kind, array size); the engine
 // deduplicates points that denote the same transient before running
 // anything. Two dedup rules do the heavy lifting:
 //
 //   - Nominal points are option-independent (every patterning engine
 //     draws the same nominal geometry), so one nominal transient per
-//     (process, size) serves all options — and all consumers: the same
+//     size serves all options — and all consumers: the same
 //     simulation feeds Fig. 4's td_nom column, Table II's simulation
 //     column and the tdp denominators of Table III.
-//   - Worst-case points are memoized per (process, option, size): Fig. 4
-//     and Table III read the same transient instead of re-running it.
+//   - Worst-case points are memoized per (option, size): Fig. 4 and
+//     Table III read the same transient instead of re-running it.
 //
-// The process axis makes technology a sweep dimension: a single
-// cross-process plan (Plan.AddNominalFor / AddWorstCaseFor with names
-// resolved against Env.Procs) replaces N serial per-process runs, one
-// worker pool spanning every node's jobs instead of N pools each paying
-// its own spin-up and drain tail. Points with an empty process name bind
-// to Env.Proc, which keeps single-process plans (and their results)
-// exactly as before.
+// A sweep runs on one process, Env.Proc; a multi-node study runs one
+// sweep per node.
 //
 // The deduped job set executes on a worker pool. Each worker owns one
-// sram.ColumnBuilder per process — a session that caches the nominal
-// extraction and rebuilds every column into one reusable netlist — and
-// pulls jobs off a shared cursor. Worst-case corner searches and the
-// nominal extractions run once, up front, and are shared read-only by all
-// workers. The context cancels the sweep between jobs; progress callbacks
-// are serialized and strictly increasing. Every job is an independent,
-// deterministic simulation written to its own result slot, so a sweep's
-// results are bit-identical for any worker count — and bit-identical to
-// the serial one-shot sram.SimulateTd/TdPenaltyPct path they replace.
+// sram.ColumnBuilder — a session that caches the nominal extraction,
+// rebuilds every column into one reusable netlist and re-targets one
+// resident SPICE engine — and pulls jobs off a shared cursor. Worst-case
+// corner searches and the nominal extraction run once, up front, and are
+// shared read-only by all workers. The context cancels the sweep between
+// jobs; progress callbacks are serialized and strictly increasing. Every
+// job is an independent, deterministic simulation written to its own
+// result slot, so a sweep's results are bit-identical for any worker
+// count — and bit-identical to building a fresh column per read
+// (sram.BuildColumn + Column.MeasureTd).
 package sweep
 
 import (
@@ -40,7 +36,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -75,30 +70,20 @@ func (k Kind) String() string {
 
 // Point identifies one transient read simulation.
 type Point struct {
-	// Proc names the technology preset the point runs on, resolved
-	// against Env.Procs. The empty string binds to the sweep's default
-	// process (Env.Proc) — the legacy single-process behaviour.
-	Proc   string
 	Option litho.Option
 	Kind   Kind
 	N      int
 }
 
 func (p Point) String() string {
-	proc := ""
-	if p.Proc != "" {
-		proc = p.Proc + " "
-	}
 	if p.Kind == Nominal {
-		return fmt.Sprintf("%snominal n=%d", proc, p.N)
+		return fmt.Sprintf("nominal n=%d", p.N)
 	}
-	return fmt.Sprintf("%s%v %v n=%d", proc, p.Option, p.Kind, p.N)
+	return fmt.Sprintf("%v %v n=%d", p.Option, p.Kind, p.N)
 }
 
 // canonical collapses equivalent points onto one key: nominal geometry is
 // option-independent, so every nominal point maps to the zero Option.
-// The process name is part of the key — nominal transients dedupe per
-// (process, size), never across processes.
 func (p Point) canonical() Point {
 	if p.Kind == Nominal {
 		p.Option = litho.Option(0)
@@ -132,31 +117,18 @@ func (pl *Plan) Add(pts ...Point) {
 	}
 }
 
-// AddNominal declares the nominal transient at each size on the default
-// process.
+// AddNominal declares the nominal transient at each size.
 func (pl *Plan) AddNominal(sizes ...int) {
-	pl.AddNominalFor("", sizes...)
-}
-
-// AddNominalFor declares the nominal transient at each size on the named
-// process ("" = the sweep's default process).
-func (pl *Plan) AddNominalFor(proc string, sizes ...int) {
 	for _, n := range sizes {
-		pl.Add(Point{Proc: proc, Kind: Nominal, N: n})
+		pl.Add(Point{Kind: Nominal, N: n})
 	}
 }
 
 // AddWorstCase declares the worst-case transient for option o at each
-// size on the default process.
+// size.
 func (pl *Plan) AddWorstCase(o litho.Option, sizes ...int) {
-	pl.AddWorstCaseFor("", o, sizes...)
-}
-
-// AddWorstCaseFor declares the worst-case transient for option o at each
-// size on the named process ("" = the sweep's default process).
-func (pl *Plan) AddWorstCaseFor(proc string, o litho.Option, sizes ...int) {
 	for _, n := range sizes {
-		pl.Add(Point{Proc: proc, Option: o, Kind: WorstCase, N: n})
+		pl.Add(Point{Option: o, Kind: WorstCase, N: n})
 	}
 }
 
@@ -166,9 +138,7 @@ func (pl *Plan) Len() int { return len(pl.order) }
 // jobs returns the unique points in a canonical deterministic order
 // (independent of the order consumers declared them): worst-case work
 // first, largest arrays first, so the expensive transients start before
-// the pool drains and the tail stays short. Processes interleave at equal
-// (N, Kind) so a cross-process plan spreads every node's heavy jobs
-// across the pool instead of running nodes back to back.
+// the pool drains and the tail stays short.
 func (pl *Plan) jobs() []Point {
 	js := append([]Point(nil), pl.order...)
 	sort.Slice(js, func(i, j int) bool {
@@ -179,66 +149,30 @@ func (pl *Plan) jobs() []Point {
 		if a.Kind != b.Kind {
 			return a.Kind > b.Kind
 		}
-		if a.Proc != b.Proc {
-			return a.Proc < b.Proc
-		}
 		return a.Option < b.Option
 	})
 	return js
 }
 
-// procOption is the key of a per-process worst-case corner search.
-type procOption struct {
-	proc   string
-	option litho.Option
-}
-
-// procOptions returns the distinct (process, option) pairs of the plan's
-// worst-case points in deterministic order.
-func (pl *Plan) procOptions() []procOption {
-	seen := map[procOption]bool{}
-	var out []procOption
+// options returns the distinct options of the plan's worst-case points
+// in deterministic order.
+func (pl *Plan) options() []litho.Option {
+	seen := map[litho.Option]bool{}
+	var out []litho.Option
 	for _, p := range pl.order {
-		k := procOption{p.Proc, p.Option}
-		if p.Kind == WorstCase && !seen[k] {
-			seen[k] = true
-			out = append(out, k)
+		if p.Kind == WorstCase && !seen[p.Option] {
+			seen[p.Option] = true
+			out = append(out, p.Option)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].proc != out[j].proc {
-			return out[i].proc < out[j].proc
-		}
-		return out[i].option < out[j].option
-	})
-	return out
-}
-
-// procNames returns the distinct non-empty process names the plan
-// references, in deterministic order.
-func (pl *Plan) procNames() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, p := range pl.order {
-		if p.Proc != "" && !seen[p.Proc] {
-			seen[p.Proc] = true
-			out = append(out, p.Proc)
-		}
-	}
-	sort.Strings(out)
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // Env bundles the simulation environment of a sweep.
 type Env struct {
-	// Proc is the default process: every point with an empty Proc name
-	// binds to it.
-	Proc tech.Process
-	// Procs resolves the named processes of a cross-process plan. Keys
-	// are the names points carry; a plan referencing a name missing here
-	// fails before any simulation runs. Optional for single-process
-	// plans.
-	Procs map[string]tech.Process
+	// Proc is the process every point of the plan runs on.
+	Proc  tech.Process
 	Cap   extract.CapModel
 	Build sram.BuildOptions
 	Sim   sram.SimOptions
@@ -266,8 +200,8 @@ func (c Config) workers() int {
 // the figure and table drivers consume as views.
 type Result struct {
 	td  map[Point]float64
-	wc  map[procOption]extract.WorstCaseResult
-	nom map[string]sram.CellParasitics
+	wc  map[litho.Option]extract.WorstCaseResult
+	nom sram.CellParasitics
 }
 
 // Td returns the simulated read time of point p, if it was planned.
@@ -276,28 +210,17 @@ func (r *Result) Td(p Point) (float64, bool) {
 	return td, ok
 }
 
-// TdNom returns the nominal read time at size n on the default process,
-// if planned.
+// TdNom returns the nominal read time at size n, if planned.
 func (r *Result) TdNom(n int) (float64, bool) {
-	return r.TdNomFor("", n)
-}
-
-// TdNomFor returns the nominal read time at size n on the named process.
-func (r *Result) TdNomFor(proc string, n int) (float64, bool) {
-	return r.Td(Point{Proc: proc, Kind: Nominal, N: n})
+	return r.Td(Point{Kind: Nominal, N: n})
 }
 
 // TdpPct returns the paper's worst-case read-time penalty
-// (td/tdnom − 1)·100 for option o at size n on the default process; both
-// the worst-case and the nominal transient must have been planned.
+// (td/tdnom − 1)·100 for option o at size n; both the worst-case and the
+// nominal transient must have been planned.
 func (r *Result) TdpPct(o litho.Option, n int) (float64, bool) {
-	return r.TdpPctFor("", o, n)
-}
-
-// TdpPctFor is TdpPct on the named process.
-func (r *Result) TdpPctFor(proc string, o litho.Option, n int) (float64, bool) {
-	td, ok1 := r.Td(Point{Proc: proc, Option: o, Kind: WorstCase, N: n})
-	nom, ok2 := r.TdNomFor(proc, n)
+	td, ok1 := r.Td(Point{Option: o, Kind: WorstCase, N: n})
+	nom, ok2 := r.TdNom(n)
 	if !ok1 || !ok2 || nom <= 0 {
 		return 0, false
 	}
@@ -305,37 +228,23 @@ func (r *Result) TdpPctFor(proc string, o litho.Option, n int) (float64, bool) {
 }
 
 // WorstCase returns the corner-search result the sweep resolved for
-// option o on the default process (present for every option with
-// worst-case points in the plan).
+// option o (present for every option with worst-case points in the
+// plan).
 func (r *Result) WorstCase(o litho.Option) (extract.WorstCaseResult, bool) {
-	return r.WorstCaseFor("", o)
-}
-
-// WorstCaseFor is WorstCase on the named process.
-func (r *Result) WorstCaseFor(proc string, o litho.Option) (extract.WorstCaseResult, bool) {
-	wc, ok := r.wc[procOption{proc, o}]
+	wc, ok := r.wc[o]
 	return wc, ok
 }
 
-// Nominal returns the nominal per-cell parasitics of the default
-// process (the zero value when no plan point referenced it).
-func (r *Result) Nominal() sram.CellParasitics { return r.nom[""] }
-
-// NominalFor returns the nominal per-cell parasitics of the named
-// process, if the plan referenced it.
-func (r *Result) NominalFor(proc string) (sram.CellParasitics, bool) {
-	nom, ok := r.nom[proc]
-	return nom, ok
-}
+// Nominal returns the nominal per-cell parasitics of the sweep's process.
+func (r *Result) Nominal() sram.CellParasitics { return r.nom }
 
 // Jobs returns the number of unique transients the sweep ran.
 func (r *Result) Jobs() int { return len(r.td) }
 
 // Run executes the plan's deduplicated job set and returns the memoized
-// results. The shared inputs — nominal parasitics per process and one
-// worst-case corner search per (process, option) — are resolved once
-// before the pool starts; each worker then simulates with its own
-// reusable per-process ColumnBuilder sessions.
+// results. The shared inputs — the nominal parasitics and one worst-case
+// corner search per option — are resolved once before the pool starts;
+// each worker then simulates with its own reusable ColumnBuilder session.
 func Run(ctx context.Context, env Env, plan *Plan, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -350,49 +259,21 @@ func Run(ctx context.Context, env Env, plan *Plan, cfg Config) (*Result, error) 
 		return nil, fmt.Errorf("sweep: canceled before start: %w", err)
 	}
 
-	// Resolve every process the plan references — and only those: "" is
-	// the default process (env.Proc), names come from Env.Procs. A purely
-	// named cross-process plan never touches env.Proc, and no process is
-	// extracted twice. Unknown names fail before any simulation runs,
-	// listing what the environment does provide.
-	procs := map[string]tech.Process{}
-	for _, pt := range plan.order {
-		if pt.Proc == "" {
-			procs[""] = env.Proc
-			break
-		}
-	}
-	for _, name := range plan.procNames() {
-		p, ok := env.Procs[name]
-		if !ok {
-			known := make([]string, 0, len(env.Procs))
-			for k := range env.Procs {
-				known = append(known, k)
-			}
-			sort.Strings(known)
-			return nil, fmt.Errorf("sweep: plan references unknown process %q (environment has: default%s)",
-				name, strings.Join(append([]string{""}, known...), ", "))
-		}
-		procs[name] = p
+	nom, err := sram.NominalParasitics(env.Proc, env.Cap)
+	if err != nil {
+		return nil, fmt.Errorf("sweep: nominal extraction (%s): %w", env.Proc.Name, err)
 	}
 	res := &Result{
 		td:  make(map[Point]float64, plan.Len()),
-		wc:  make(map[procOption]extract.WorstCaseResult),
-		nom: make(map[string]sram.CellParasitics, len(procs)),
+		wc:  make(map[litho.Option]extract.WorstCaseResult),
+		nom: nom,
 	}
-	for key, p := range procs {
-		nom, err := sram.NominalParasitics(p, env.Cap)
+	for _, o := range plan.options() {
+		wc, err := extract.WorstCase(env.Proc, o, env.Cap)
 		if err != nil {
-			return nil, fmt.Errorf("sweep: nominal extraction (%s): %w", p.Name, err)
+			return nil, fmt.Errorf("sweep: worst case %s %v: %w", env.Proc.Name, o, err)
 		}
-		res.nom[key] = nom
-	}
-	for _, po := range plan.procOptions() {
-		wc, err := extract.WorstCase(procs[po.proc], po.option, env.Cap)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: worst case %s %v: %w", procs[po.proc].Name, po.option, err)
-		}
-		res.wc[po] = wc
+		res.wc[o] = wc
 	}
 
 	jobs := plan.jobs()
@@ -430,19 +311,10 @@ func Run(ctx context.Context, env Env, plan *Plan, cfg Config) (*Result, error) 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One reusable build/simulate session per (worker, process),
-			// created lazily on the first job that needs it; the
-			// coordinator's nominal extractions seed the caches.
-			builders := make(map[string]*sram.ColumnBuilder, len(procs))
-			builderFor := func(key string) *sram.ColumnBuilder {
-				b, ok := builders[key]
-				if !ok {
-					b = sram.NewColumnBuilder(procs[key], env.Cap)
-					b.SetNominal(res.nom[key])
-					builders[key] = b
-				}
-				return b
-			}
+			// One reusable build/simulate session per worker; the
+			// coordinator's nominal extraction seeds its cache.
+			b := sram.NewColumnBuilder(env.Proc, env.Cap)
+			b.SetNominal(nom)
 			for {
 				if runCtx.Err() != nil {
 					return
@@ -452,12 +324,11 @@ func Run(ctx context.Context, env Env, plan *Plan, cfg Config) (*Result, error) 
 					return
 				}
 				p := jobs[i]
-				nom := res.nom[p.Proc]
 				cp := nom
 				if p.Kind == WorstCase {
-					cp = nom.Scale(res.wc[procOption{p.Proc, p.Option}].Ratios)
+					cp = nom.Scale(res.wc[p.Option].Ratios)
 				}
-				td, err := builderFor(p.Proc).MeasureTd(p.N, cp, env.Build, env.Sim)
+				td, err := b.MeasureTd(p.N, cp, env.Build, env.Sim)
 				if err != nil {
 					errs[i] = fmt.Errorf("sweep: %v: %w", p, err)
 					cancelRun()
