@@ -59,11 +59,16 @@ bench-json:
 # (and its deterministic Merge) against exact quantiles on random streams;
 # FuzzControlVariate checks the paired-moment accumulator (β̂, ρ̂, residual
 # variance and its split-anywhere Merge) against exact two-pass statistics.
-# The three *Codec targets gate the shard-artifact serialization surface:
+# The three *Codec targets gate the shard-artifact serialization surface
+# (AppendBinary/Decode, the one codec pair artifacts use):
 # encode→decode→Merge must stay bit-identical to merging the live
 # accumulators, on random streams split at random points.
 # FuzzLazySource checks the engine's lazily seeded PRNG source bit for bit
 # against rand.NewSource over random seeds, draw mixes and reseeds.
+# FuzzDecodeShardPayload feeds the checkpoint decoder POST /v1/shards
+# exposes arbitrary bytes (seeded with real fig5 and mcspicecv
+# checkpoints): no panic, every accepted record holds counts a run could
+# produce, and a resumable payload re-encodes to its input bytes.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzNetlistReset' -fuzztime 10s ./internal/spice
 	$(GO) test -run '^$$' -fuzz 'FuzzP2Quantile' -fuzztime 10s ./internal/stats
@@ -72,6 +77,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzP2Codec' -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz 'FuzzControlVariateCodec' -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz 'FuzzLazySource' -fuzztime 10s ./internal/mc
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodeShardPayload' -fuzztime 10s ./internal/mc
 
 # Coverage over the -short suite (the fast deterministic core).
 cover:

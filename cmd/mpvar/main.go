@@ -75,17 +75,57 @@ func (g *globals) register(fs *flag.FlagSet) {
 	fs.BoolVar(&g.list, "list", g.list, "print the registered workload names, one per line, and exit")
 }
 
-// globalNames is the set of flag names register defines; workload
-// parameters with these names are fed by the global flag instead of a
-// duplicate per-workload binding.
-var globalNames = func() map[string]bool {
-	g := defaultGlobals()
-	fs := flag.NewFlagSet("", flag.ContinueOnError)
-	g.register(fs)
-	names := map[string]bool{}
-	fs.VisitAll(func(f *flag.Flag) { names[f.Name] = true })
-	return names
-}()
+// bindParams registers one flag per workload schema parameter on fs —
+// except a parameter fs already defines, which is fed by that flag (a
+// global such as -n) instead of a duplicate binding — and returns the
+// collector to call after parsing: the parameters whose flags are in
+// seen. Only explicit values enter a spec; Normalize fills the schema
+// defaults, so the run key matches every other spelling of the same run
+// (CLI, shard, serve, reduce).
+func bindParams(fs *flag.FlagSet, specs []exp.ParamSpec) func(seen map[string]bool) exp.Params {
+	get := map[string]func() any{}
+	for _, ps := range specs {
+		if f := fs.Lookup(ps.Name); f != nil {
+			// Every standard flag.Value implements flag.Getter, and the
+			// registry's coercion accepts its native type.
+			get[ps.Name] = f.Value.(flag.Getter).Get
+			continue
+		}
+		switch ps.Kind {
+		case exp.IntParam:
+			p := fs.Int(ps.Name, ps.Default.(int), ps.Help)
+			get[ps.Name] = func() any { return *p }
+		case exp.FloatParam:
+			p := fs.Float64(ps.Name, ps.Default.(float64), ps.Help)
+			get[ps.Name] = func() any { return *p }
+		case exp.BoolParam:
+			p := fs.Bool(ps.Name, ps.Default.(bool), ps.Help)
+			get[ps.Name] = func() any { return *p }
+		case exp.StringParam:
+			p := fs.String(ps.Name, ps.Default.(string), ps.Help)
+			get[ps.Name] = func() any { return *p }
+		}
+	}
+	return func(seen map[string]bool) exp.Params {
+		params := exp.Params{}
+		for _, ps := range specs {
+			if seen[ps.Name] {
+				params[ps.Name] = get[ps.Name]()
+			}
+		}
+		return params
+	}
+}
+
+// setFlags returns the names of the flags set explicitly on any of the
+// flag sets.
+func setFlags(sets ...*flag.FlagSet) map[string]bool {
+	seen := map[string]bool{}
+	for _, fs := range sets {
+		fs.Visit(func(f *flag.Flag) { seen[f.Name] = true })
+	}
+	return seen
+}
 
 // usage renders the generated help: the workload listing straight from
 // the registry plus the static utility commands and the global flags.
@@ -185,16 +225,12 @@ func main() {
 		return
 	}
 
-	seen := map[string]bool{}
-	fs1.Visit(func(f *flag.Flag) { seen[f.Name] = true })
-
 	// Registry workloads get a second parse pass over the arguments after
 	// the workload name: the global flags again (subcommand style) plus
 	// one flag per schema parameter that is not already a global.
 	var (
 		wl       exp.Workload
 		utility  = name == "gds" || name == "deck"
-		bound    = map[string]func() any{}
 		fs2      = flag.NewFlagSet("mpvar "+name, flag.ExitOnError)
 		wlookErr error
 	)
@@ -216,33 +252,9 @@ func main() {
 		fs2.SetOutput(os.Stderr)
 		fs2.PrintDefaults()
 	}
-	for _, ps := range wl.Params {
-		if globalNames[ps.Name] {
-			// Fed by the (re-registered) global flag of the same name:
-			// every standard flag.Value implements flag.Getter, and the
-			// registry's coercion accepts its native type.
-			f := fs2.Lookup(ps.Name)
-			bound[ps.Name] = func() any { return f.Value.(flag.Getter).Get() }
-			continue
-		}
-		ps := ps
-		switch ps.Kind {
-		case exp.IntParam:
-			p := fs2.Int(ps.Name, ps.Default.(int), ps.Help)
-			bound[ps.Name] = func() any { return *p }
-		case exp.FloatParam:
-			p := fs2.Float64(ps.Name, ps.Default.(float64), ps.Help)
-			bound[ps.Name] = func() any { return *p }
-		case exp.BoolParam:
-			p := fs2.Bool(ps.Name, ps.Default.(bool), ps.Help)
-			bound[ps.Name] = func() any { return *p }
-		case exp.StringParam:
-			p := fs2.String(ps.Name, ps.Default.(string), ps.Help)
-			bound[ps.Name] = func() any { return *p }
-		}
-	}
+	explicitParams := bindParams(fs2, wl.Params)
 	_ = fs2.Parse(fs1.Args()[1:])
-	fs2.Visit(func(f *flag.Flag) { seen[f.Name] = true })
+	seen := setFlags(fs1, fs2)
 	if fs2.NArg() > 0 {
 		fatal(fmt.Errorf("unexpected argument %q after workload %s", fs2.Arg(0), name))
 	}
@@ -273,12 +285,7 @@ func main() {
 	// Assemble the workload parameters: schema defaults are implicit;
 	// explicit flags win; -smoke fills its overrides where nothing was
 	// chosen.
-	params := exp.Params{}
-	for _, ps := range wl.Params {
-		if seen[ps.Name] {
-			params[ps.Name] = bound[ps.Name]()
-		}
-	}
+	params := explicitParams(seen)
 	if g.smoke {
 		for k, v := range wl.Hints.Smoke {
 			if _, explicit := params[k]; !explicit {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -87,8 +88,10 @@ func TestHelpWorkload(t *testing.T) {
 }
 
 // TestGlobalsTwoPassParse pins the two-pass flag scheme: re-registering
-// on a second FlagSet keeps pass-one values as defaults, and both passes
-// contribute to the seen set.
+// on a second FlagSet keeps pass-one values as defaults, both passes
+// contribute to the seen set, and the parameter binder feeds a
+// same-named workload parameter from the global flag while binding the
+// rest.
 func TestGlobalsTwoPassParse(t *testing.T) {
 	g := defaultGlobals()
 	fs1 := flag.NewFlagSet("mpvar", flag.ContinueOnError)
@@ -99,19 +102,29 @@ func TestGlobalsTwoPassParse(t *testing.T) {
 	if fs1.Arg(0) != "mcspice" || g.samples != 8 {
 		t.Fatalf("pass one drifted: arg %q samples %d", fs1.Arg(0), g.samples)
 	}
+	wl, err := exp.LookupWorkload("mcspice")
+	if err != nil {
+		t.Fatal(err)
+	}
 	fs2 := flag.NewFlagSet("mpvar mcspice", flag.ContinueOnError)
 	g.register(fs2)
-	if err := fs2.Parse(fs1.Args()[1:]); err != nil {
+	globalN := fs2.Lookup("n")
+	explicitParams := bindParams(fs2, wl.Params)
+	if fs2.Lookup("n") != globalN || fs2.Lookup("sizes") == nil {
+		t.Fatal("binder must reuse the global -n and bind -sizes")
+	}
+	if err := fs2.Parse(append(fs1.Args()[1:], "-cv")); err != nil {
 		t.Fatal(err)
 	}
 	if g.samples != 8 || g.n != 16 {
 		t.Fatalf("pass two lost values: samples %d n %d", g.samples, g.n)
 	}
-	seen := map[string]bool{}
-	fs1.Visit(func(f *flag.Flag) { seen[f.Name] = true })
-	fs2.Visit(func(f *flag.Flag) { seen[f.Name] = true })
+	seen := setFlags(fs1, fs2)
 	if !seen["samples"] || !seen["n"] || seen["ol"] {
 		t.Fatalf("seen set drifted: %v", seen)
+	}
+	if got := explicitParams(seen); !reflect.DeepEqual(got, exp.Params{"n": 16, "cv": true}) {
+		t.Fatalf("explicit params %v, want only the set -n and -cv", got)
 	}
 	// Any global flag can feed a same-named workload parameter through
 	// the flag.Getter interface — not just a hand-picked subset.
@@ -119,9 +132,6 @@ func TestGlobalsTwoPassParse(t *testing.T) {
 		if got := fs2.Lookup(name).Value.(flag.Getter).Get(); got != want {
 			t.Fatalf("global feed for %s = %v (%T), want %v", name, got, got, want)
 		}
-	}
-	if !globalNames["n"] || !globalNames["format"] || globalNames["sizes"] {
-		t.Fatalf("global name set drifted: %v", globalNames)
 	}
 }
 

@@ -130,17 +130,23 @@
 // run re-executes precisely the blocks at or after the frontier and
 // nothing is double-counted. Because float folds are not associative,
 // partial aggregates are serialized per block (versioned big-endian
-// codecs for Welford/P²/ControlVariate in stats/codec.go, exact-round-trip
-// fuzzed in Fuzz*Codec): a reducer replays the same left-fold the
-// single-process run performs, bit for bit. On top of that sit
+// codecs for Welford/P²/ControlVariate in stats/codec.go — one encoder,
+// AppendBinary, and one streaming decoder, Decode — whose exact round
+// trip Fuzz*Codec fuzzes through that same pair): a reducer replays the
+// same left-fold the single-process run performs, bit for bit. The
+// payload decoder refuses any block record whose counts no run could
+// produce (FuzzDecodeShardPayload), since checkpoints also arrive over
+// the network. On top of that sit
 // mc.ShardSpec/ShardRun/Replay — execute one contiguous block range of
 // every stream a workload runs, capture the records, or fold recorded
 // ones instead of executing — and core.RunShard/Reduce, which wrap the
 // capture in a self-identifying artifact file: a JSON header carrying
 // the full normalized RunSpec plus its run key, then the mc payload.
-// Reduce recomputes the key from the header, so artifacts from an older
-// EngineVersion or a drifted schema refuse instead of folding stale
-// blocks. Checkpoints are the same artifact marked incomplete, written
+// core.DecodeShardArtifact is the one decoder and ShardArtifact.Verify
+// the one acceptance check: it recomputes the key from the header, so
+// resume, Reduce, the fan-out executor and the remote fabric all refuse
+// artifacts from an older EngineVersion or a drifted schema instead of
+// folding stale blocks. Checkpoints are the same artifact marked incomplete, written
 // atomically; `mpvar shard -index I -of N` / `mpvar reduce` surface all
 // of it over the registry — every workload shards, resumes and reduces
 // byte-identically to its single-process run with zero per-workload

@@ -135,7 +135,7 @@ func NewStudy(opts ...Option) (*Study, error) {
 // the typed rows, the tabular view for the shared csv/md/json encoders
 // and the paper-style text.
 func (s *Study) Run(name string, p exp.Params) (*exp.Result, error) {
-	return exp.Run(nil, s.Env, name, p)
+	return exp.Run(s.Env, name, p)
 }
 
 // Workloads lists the experiment registry in listing order.

@@ -16,12 +16,10 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -68,32 +66,28 @@ type ShardArtifact struct {
 	Payload *mc.ShardPayload
 }
 
-// WriteShardArtifactTo encodes header+payload in the artifact container
-// format onto any writer — the same bytes writeShardArtifact persists to
-// disk, which is what lets the remote shard fabric stream artifacts over
-// HTTP and have both ends agree bit for bit with the on-disk form.
-func WriteShardArtifactTo(w io.Writer, h ShardHeader, payload []byte) error {
+// encodeShardArtifact lays header+payload out in the artifact container
+// format: magic, big-endian header length, JSON header, mc payload.
+func encodeShardArtifact(h ShardHeader, payload []byte) ([]byte, error) {
 	hdr, err := json.Marshal(h)
 	if err != nil {
-		return fmt.Errorf("core: encoding shard header: %w", err)
+		return nil, fmt.Errorf("core: encoding shard header: %w", err)
 	}
 	buf := make([]byte, 0, len(shardMagic)+4+len(hdr)+len(payload))
 	buf = append(buf, shardMagic...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(hdr)))
 	buf = append(buf, hdr...)
-	buf = append(buf, payload...)
-	_, err = w.Write(buf)
-	return err
+	return append(buf, payload...), nil
 }
 
 // writeShardArtifact persists header+payload atomically: a kill mid-write
 // can only ever lose the newest checkpoint, never corrupt the file.
 func writeShardArtifact(path string, h ShardHeader, payload []byte) error {
-	var buf bytes.Buffer
-	if err := WriteShardArtifactTo(&buf, h, payload); err != nil {
+	data, err := encodeShardArtifact(h, payload)
+	if err != nil {
 		return err
 	}
-	return WriteShardArtifactFile(path, buf.Bytes())
+	return WriteShardArtifactFile(path, data)
 }
 
 // WriteShardArtifactFile persists already-encoded artifact bytes
@@ -109,15 +103,12 @@ func WriteShardArtifactFile(path string, data []byte) error {
 	return os.Rename(tmp, path)
 }
 
-// ReadShardArtifactFrom parses an artifact or checkpoint from any
-// reader, rejecting foreign magics, truncated headers, engine-version
-// drift and corrupt payloads. ReadShardArtifact is the path flavor; this
-// one decodes artifact bytes arriving over a network stream.
-func ReadShardArtifactFrom(r io.Reader) (*ShardArtifact, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
+// DecodeShardArtifact parses artifact or checkpoint bytes — a file's
+// contents or a remote frame's — rejecting foreign magics, truncated
+// headers, engine-version drift and corrupt payloads. Decoding says
+// nothing about whose artifact it is: callers accept it only after
+// Verify.
+func DecodeShardArtifact(data []byte) (*ShardArtifact, error) {
 	if len(data) < len(shardMagic)+4 || string(data[:len(shardMagic)]) != string(shardMagic) {
 		return nil, fmt.Errorf("core: not a shard artifact (magic %q missing)", shardMagic)
 	}
@@ -141,14 +132,14 @@ func ReadShardArtifactFrom(r io.Reader) (*ShardArtifact, error) {
 	return &ShardArtifact{Header: h, Payload: p}, nil
 }
 
-// ReadShardArtifact parses a shard artifact or checkpoint file,
-// rejecting foreign magics, truncated headers and corrupt payloads.
+// ReadShardArtifact is DecodeShardArtifact over a file; errors name the
+// path.
 func ReadShardArtifact(path string) (*ShardArtifact, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	a, err := ReadShardArtifactFrom(bytes.NewReader(data))
+	a, err := DecodeShardArtifact(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -157,11 +148,12 @@ func ReadShardArtifact(path string) (*ShardArtifact, error) {
 
 // Verify checks that the artifact is what a caller expecting (runKey,
 // shard) should accept: the coordinates match, and the header's spec
-// still reproduces its recorded run key under the current engines — the
-// same recomputation Reduce performs, pulled out so both ends of the
-// remote shard fabric can refuse drifted or foreign artifacts before any
-// bytes land in a reduce set. An empty runKey skips the caller-side key
-// comparison and only validates internal consistency.
+// still reproduces its recorded run key under the current engines. It is
+// the one acceptance check — resume, reduce, the fan-out executor and
+// both ends of the remote shard fabric all refuse drifted or foreign
+// artifacts through it before any bytes land in a reduce set. An empty
+// runKey skips the caller-side key comparison and only validates
+// internal consistency.
 func (a *ShardArtifact) Verify(runKey string, shard mc.ShardSpec) error {
 	h := a.Header
 	if h.ShardIndex != shard.Index || h.ShardCount != shard.Count {
@@ -234,9 +226,8 @@ func RunShard(spec RunSpec, shard mc.ShardSpec, path string, opt ShardRunOptions
 	if opt.Resume {
 		switch art, rerr := ReadShardArtifact(path); {
 		case rerr == nil:
-			if art.Header.RunKey != key || art.Header.ShardIndex != shard.Index || art.Header.ShardCount != shard.Count {
-				return fmt.Errorf("core: %s belongs to a different run or shard (run %s shard %d/%d, want %s shard %d/%d)",
-					path, ShortKey(art.Header.RunKey), art.Header.ShardIndex, art.Header.ShardCount, ShortKey(key), shard.Index, shard.Count)
+			if err := art.Verify(key, shard); err != nil {
+				return fmt.Errorf("core: %s belongs to a different run or shard: %w", path, err)
 			}
 			if art.Header.Complete {
 				return nil // nothing to resume — the shard already finished
@@ -310,12 +301,11 @@ func Reduce(paths []string, extra ...Option) (*exp.Result, error) {
 	parts := make([]*mc.ShardPayload, count)
 	for i, a := range arts {
 		h := a.Header
-		if h.RunKey != base.RunKey || h.ShardCount != count {
-			return nil, fmt.Errorf("core: %s belongs to run %s (%d shards), the set is run %s (%d shards)",
-				paths[i], ShortKey(h.RunKey), h.ShardCount, ShortKey(base.RunKey), count)
-		}
 		if h.ShardIndex < 0 || h.ShardIndex >= count {
 			return nil, fmt.Errorf("core: %s claims shard %d of %d", paths[i], h.ShardIndex, count)
+		}
+		if err := a.Verify(base.RunKey, mc.ShardSpec{Index: h.ShardIndex, Count: count}); err != nil {
+			return nil, fmt.Errorf("core: %s does not belong to the set of run %s: %w", paths[i], ShortKey(base.RunKey), err)
 		}
 		if parts[h.ShardIndex] != nil {
 			return nil, fmt.Errorf("core: duplicate artifact for shard %d of run %s", h.ShardIndex, ShortKey(base.RunKey))
@@ -327,19 +317,11 @@ func Reduce(paths []string, extra ...Option) (*exp.Result, error) {
 			return nil, fmt.Errorf("core: shard %d of run %s is missing from the artifact set", i, ShortKey(base.RunKey))
 		}
 	}
-	spec := base.spec()
-	key, err := spec.Key()
-	if err != nil {
-		return nil, fmt.Errorf("core: artifact spec no longer validates: %w", err)
-	}
-	if key != base.RunKey {
-		return nil, fmt.Errorf("core: artifact run key %s does not reproduce under the current engines (%s) — regenerate the shards", ShortKey(base.RunKey), ShortKey(key))
-	}
 	rp, err := mc.NewReplay(parts)
 	if err != nil {
 		return nil, err
 	}
-	res, err := spec.Run(append(append([]Option(nil), extra...), withReplay(rp))...)
+	res, err := base.spec().Run(append(append([]Option(nil), extra...), withReplay(rp))...)
 	if err != nil {
 		return nil, err
 	}

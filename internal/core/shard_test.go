@@ -287,10 +287,11 @@ func TestReduceRejects(t *testing.T) {
 	}
 }
 
-// TestShardArtifactStreamRoundTrip: the io.Writer/io.Reader flavors of
-// the artifact codec produce exactly the on-disk bytes and decode them
-// back — the contract the remote fabric relies on to ship artifacts
-// over HTTP and land them bit-identical to a local run.
+// TestShardArtifactStreamRoundTrip: the artifact codec's byte form is
+// exactly the on-disk form — decoding a file's bytes and re-encoding the
+// header over its payload reproduces them — which is the contract the
+// remote fabric relies on to ship artifacts over HTTP and land them
+// bit-identical to a local run.
 func TestShardArtifactStreamRoundTrip(t *testing.T) {
 	spec := RunSpec{Workload: "fig3"}
 	path := filepath.Join(t.TempDir(), "part0.shard")
@@ -302,18 +303,18 @@ func TestShardArtifactStreamRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	art, err := ReadShardArtifactFrom(bytes.NewReader(onDisk))
+	art, err := DecodeShardArtifact(onDisk)
 	if err != nil {
-		t.Fatalf("stream read: %v", err)
+		t.Fatalf("decode: %v", err)
 	}
 	hlen := int(binary.BigEndian.Uint32(onDisk[len(shardMagic):]))
 	payload := onDisk[len(shardMagic)+4+hlen:]
-	var buf bytes.Buffer
-	if err := WriteShardArtifactTo(&buf, art.Header, payload); err != nil {
-		t.Fatalf("stream write: %v", err)
+	re, err := encodeShardArtifact(art.Header, payload)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
 	}
-	if !bytes.Equal(buf.Bytes(), onDisk) {
-		t.Fatal("stream re-encode diverged from the on-disk artifact bytes")
+	if !bytes.Equal(re, onDisk) {
+		t.Fatal("re-encode diverged from the on-disk artifact bytes")
 	}
 
 	// WriteShardArtifactFile lands raw bytes with the same atomic
@@ -333,10 +334,10 @@ func TestShardArtifactStreamRoundTrip(t *testing.T) {
 		t.Fatalf("temp file left behind: %v", err)
 	}
 
-	// Stream decode refuses junk just like the path flavor.
-	if _, err := ReadShardArtifactFrom(bytes.NewReader([]byte("nope"))); err == nil ||
+	// Byte decode refuses junk just like the path flavor.
+	if _, err := DecodeShardArtifact([]byte("nope")); err == nil ||
 		!strings.Contains(err.Error(), "magic") {
-		t.Fatalf("junk stream: %v", err)
+		t.Fatalf("junk bytes: %v", err)
 	}
 }
 

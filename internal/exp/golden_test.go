@@ -139,7 +139,7 @@ func TestGoldenMCSpiceX(t *testing.T) {
 	}
 	e := goldenEnv()
 	e.MC.Samples = 12
-	res, err := Run(nil, e, "mcspicex", Params{"sizes": "8,16"})
+	res, err := Run(e, "mcspicex", Params{"sizes": "8,16"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestGoldenSpiceMCCV(t *testing.T) {
 	}
 	e := goldenEnv()
 	e.MC.Samples = 12
-	res, err := Run(nil, e, "mcspice", Params{"sizes": "8,16", "cv": true})
+	res, err := Run(e, "mcspice", Params{"sizes": "8,16", "cv": true})
 	if err != nil {
 		t.Fatal(err)
 	}

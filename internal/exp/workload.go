@@ -8,7 +8,6 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
@@ -147,7 +146,7 @@ type Workload struct {
 	Hints Hints
 	// Run executes the workload under the environment with validated,
 	// defaulted parameters.
-	Run func(ctx context.Context, e Env, p Params) (*Result, error)
+	Run func(e Env, p Params) (*Result, error)
 }
 
 var registry = map[string]*Workload{}
@@ -296,10 +295,9 @@ func resolveParams(w Workload, p Params) (Params, error) {
 }
 
 // Run executes a registered workload by name under the environment:
-// lookup, parameter validation and defaulting, then the workload body
-// with ctx installed as the environment's cancellation context. A nil
-// ctx keeps the environment's own context.
-func Run(ctx context.Context, e Env, name string, p Params) (*Result, error) {
+// lookup, parameter validation and defaulting, then the workload body.
+// Cancellation travels in e.Ctx.
+func Run(e Env, name string, p Params) (*Result, error) {
 	w, err := LookupWorkload(name)
 	if err != nil {
 		return nil, err
@@ -308,11 +306,7 @@ func Run(ctx context.Context, e Env, name string, p Params) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ctx == nil {
-		ctx = e.ctx()
-	}
-	e.Ctx = ctx
-	res, err := w.Run(ctx, e, rp)
+	res, err := w.Run(e, rp)
 	if err != nil {
 		return nil, fmt.Errorf("workload %s: %w", name, err)
 	}

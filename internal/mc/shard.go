@@ -359,15 +359,16 @@ func decodeHeader(r *stats.CodecReader) (streamHeader, error) {
 		return h, fmt.Errorf("mc: stream codec version %d, want %d", v, streamCodecVersion)
 	}
 	h.Kind = r.U8("stream header")
-	h.Collect = r.U8("stream header") != 0
+	collect := r.U8("stream header")
+	h.Collect = collect == 1
 	h.Nobs = int(r.U64("stream header"))
 	h.Samples = int(r.U64("stream header"))
 	h.Seed = int64(r.U64("stream header"))
 	if err := r.Err(); err != nil {
 		return h, err
 	}
-	if h.Kind != streamPlain && h.Kind != streamPaired {
-		return h, fmt.Errorf("mc: unknown stream kind %d", h.Kind)
+	if h.Kind != streamPlain && h.Kind != streamPaired || collect > 1 {
+		return h, fmt.Errorf("mc: unknown stream kind %d (collect %d)", h.Kind, collect)
 	}
 	if h.Nobs < 1 || h.Samples < 1 || h.Samples > MaxSamples {
 		return h, fmt.Errorf("mc: corrupt stream header (nobs=%d samples=%d)", h.Nobs, h.Samples)
@@ -375,7 +376,18 @@ func decodeHeader(r *stats.CodecReader) (streamHeader, error) {
 	return h, nil
 }
 
-// decodeRecord consumes one record under the stream header's layout.
+// welfordBytes is the encoded size of one Welford, the smallest share
+// any record layout spends per observable; a record claiming more
+// observables than the buffer could hold is refused before allocating.
+var welfordBytes = len(stats.Welford{}.AppendBinary(nil))
+
+// decodeRecord consumes one record under the stream header's layout and
+// refuses it unless its counts are ones a run could produce: every
+// accumulator holds exactly the block's accepted trials (trials −
+// Rejected), every P² sketch targets its slot's quantile, and a collect
+// record carries Nobs values per accepted trial. Resume and reduce size
+// their buffers from these counts and merge the sketches slot by slot,
+// so a crafted record must not get past here.
 func decodeRecord(r *stats.CodecReader, h streamHeader) (StreamRecord, error) {
 	var rec StreamRecord
 	rec.Block = int(r.U64("record"))
@@ -386,33 +398,60 @@ func decodeRecord(r *stats.CodecReader, h streamHeader) (StreamRecord, error) {
 	if rec.Block < 0 || rec.Block >= h.nblocks() {
 		return rec, fmt.Errorf("mc: record block %d outside stream's %d blocks", rec.Block, h.nblocks())
 	}
-	if rec.Rejected < 0 || rec.Rejected > blockSize {
-		return rec, fmt.Errorf("mc: record rejects %d trials of a %d-trial block", rec.Rejected, blockSize)
+	trials := trialsIn(rec.Block, rec.Block+1, h.Samples)
+	if rec.Rejected < 0 || rec.Rejected > trials {
+		return rec, fmt.Errorf("mc: record rejects %d trials of a %d-trial block", rec.Rejected, trials)
+	}
+	if h.Nobs > r.Rest()/welfordBytes {
+		return rec, fmt.Errorf("mc: record truncated: %d observables in %d bytes", h.Nobs, r.Rest())
+	}
+	accepted := trials - rec.Rejected
+	var bad error // the first count no run produces; reported after truncation
+	count := func(what string, j, n int) {
+		if n != accepted && bad == nil {
+			bad = fmt.Errorf("mc: block %d %s %d counts %d trials, the block accepted %d", rec.Block, what, j, n, accepted)
+		}
 	}
 	decodeSketches := func() []QuantileSketch {
 		qs := make([]QuantileSketch, h.Nobs)
+		slot := newQuantileSketch()
 		for j := range qs {
-			qs[j].P05.Decode(r)
-			qs[j].Median.Decode(r)
-			qs[j].P95.Decode(r)
+			for _, e := range [][2]*stats.P2{{&qs[j].P05, &slot.P05}, {&qs[j].Median, &slot.Median}, {&qs[j].P95, &slot.P95}} {
+				e[0].Decode(r)
+				count("sketch", j, e[0].N())
+				if e[0].P() != e[1].P() && bad == nil {
+					bad = fmt.Errorf("mc: block %d sketch %d targets p=%g in the p=%g slot", rec.Block, j, e[0].P(), e[1].P())
+				}
+			}
 		}
 		return qs
+	}
+	decodeAgg := func() []stats.Welford {
+		agg := make([]stats.Welford, h.Nobs)
+		for j := range agg {
+			agg[j].Decode(r)
+			count("aggregate", j, agg[j].N())
+		}
+		return agg
 	}
 	switch {
 	case h.Kind == streamPaired:
 		rec.CV = make([]stats.ControlVariate, h.Nobs)
 		for j := range rec.CV {
 			rec.CV[j].Decode(r)
+			y, x := rec.CV[j].Primary(), rec.CV[j].Control()
+			count("primary", j, y.N())
+			count("control", j, x.N())
 		}
 		rec.Quant = decodeSketches()
 	case h.Collect:
-		rec.Agg = make([]stats.Welford, h.Nobs)
-		for j := range rec.Agg {
-			rec.Agg[j].Decode(r)
-		}
+		rec.Agg = decodeAgg()
 		nvals := int(r.U64("record"))
-		if r.Err() == nil && (nvals < 0 || nvals > blockSize*h.Nobs || nvals%h.Nobs != 0) {
-			return rec, fmt.Errorf("mc: record holds %d collected values for %d observables of a %d-trial block", nvals, h.Nobs, blockSize)
+		if r.Err() == nil && nvals != h.Nobs*accepted {
+			return rec, fmt.Errorf("mc: block %d holds %d collected values, want %d observables × %d accepted trials", rec.Block, nvals, h.Nobs, accepted)
+		}
+		if r.Err() == nil && nvals > r.Rest()/8 {
+			return rec, fmt.Errorf("mc: record truncated: %d collected values in %d bytes", nvals, r.Rest())
 		}
 		if r.Err() == nil && nvals > 0 {
 			rec.Values = make([]float64, nvals)
@@ -421,13 +460,13 @@ func decodeRecord(r *stats.CodecReader, h streamHeader) (StreamRecord, error) {
 			}
 		}
 	default:
-		rec.Agg = make([]stats.Welford, h.Nobs)
-		for j := range rec.Agg {
-			rec.Agg[j].Decode(r)
-		}
+		rec.Agg = decodeAgg()
 		rec.Quant = decodeSketches()
 	}
-	return rec, r.Err()
+	if err := r.Err(); err != nil {
+		return rec, err
+	}
+	return rec, bad
 }
 
 // DecodeShardPayload parses an encoded payload, rejecting version
@@ -441,8 +480,8 @@ func DecodeShardPayload(data []byte) (*ShardPayload, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if ns < 0 || ns > 1<<20 {
-		return nil, fmt.Errorf("mc: corrupt shard payload (%d streams)", ns)
+	if ns < 0 || ns > r.Rest() {
+		return nil, fmt.Errorf("mc: corrupt shard payload (%d streams in %d bytes)", ns, r.Rest())
 	}
 	p := &ShardPayload{streams: make([]payloadStream, 0, ns)}
 	for s := 0; s < ns; s++ {

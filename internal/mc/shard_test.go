@@ -2,6 +2,7 @@ package mc
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -378,6 +379,91 @@ func TestShardPayloadRejects(t *testing.T) {
 	}
 	if _, err := DecodeShardPayload(append(append([]byte(nil), good...), 0)); err == nil {
 		t.Fatal("decoded trailing garbage")
+	}
+}
+
+// craftedPayload encodes one stream of hand-built records — the bytes a
+// hostile or corrupt checkpoint could carry.
+func craftedPayload(h streamHeader, recs ...StreamRecord) []byte {
+	sr := &ShardRun{streams: []*capturedStream{{header: h, recs: recs}}}
+	return sr.EncodePayload()
+}
+
+// plainRecord builds a one-observable record of block b folding n
+// observations into its accumulator and sketches.
+func plainRecord(b, n int) StreamRecord {
+	rec := StreamRecord{Block: b, Agg: make([]stats.Welford, 1), Quant: []QuantileSketch{newQuantileSketch()}}
+	for i := 0; i < n; i++ {
+		v := float64(i)
+		rec.Agg[0].Add(v)
+		rec.Quant[0].P05.Add(v)
+		rec.Quant[0].Median.Add(v)
+		rec.Quant[0].P95.Add(v)
+	}
+	return rec
+}
+
+// TestShardPayloadRejectsImpossibleCounts pins the record-count rule: a
+// record decodes only if every accumulator and sketch holds exactly the
+// block's accepted trials, every sketch targets its slot's quantile and
+// a collect record carries Nobs values per accepted trial. Resume sizes
+// buffers from these counts (a claimed 2⁴⁰ trials used to reach
+// make([]float64, 0, 2⁴⁰) and kill the process) and reduce merges
+// sketches slot by slot (a foreign p panics in P2.Merge).
+func TestShardPayloadRejectsImpossibleCounts(t *testing.T) {
+	plain := streamHeader{Kind: streamPlain, Nobs: 1, Samples: 300, Seed: 1}
+	collect := streamHeader{Kind: streamPlain, Collect: true, Nobs: 1, Samples: 300, Seed: 1}
+	paired := streamHeader{Kind: streamPaired, Nobs: 1, Samples: 300, Seed: 1}
+
+	// Well-formed records decode: a full block, and the 44-trial tail
+	// block with 4 rejects.
+	tail := plainRecord(1, 40)
+	tail.Rejected = 4
+	if _, err := DecodeShardPayload(craftedPayload(plain, plainRecord(0, blockSize), tail)); err != nil {
+		t.Fatalf("well-formed records refused: %v", err)
+	}
+
+	collected := func(n int) StreamRecord {
+		rec := plainRecord(0, n)
+		rec.Quant = nil
+		for i := 0; i < n; i++ {
+			rec.Values = append(rec.Values, float64(i))
+		}
+		return rec
+	}
+	// A collect record claiming 2⁴⁰ accepted trials: patch the Welford
+	// count of an honest full block (payload version 1 + stream count 8 +
+	// header 27 + record count 8 + block 8 + rejects 8 + Welford version 1).
+	huge := craftedPayload(collect, collected(blockSize))
+	binary.BigEndian.PutUint64(huge[61:], 1<<40)
+	// A paired record whose control half disagrees with its primary (the
+	// control Welford's count follows the primary's 41 bytes).
+	var cv stats.ControlVariate
+	for i := 0; i < blockSize; i++ {
+		cv.Add(float64(i), 2*float64(i))
+	}
+	pairedRec := StreamRecord{Block: 0, CV: []stats.ControlVariate{cv}, Quant: plainRecord(0, blockSize).Quant}
+	halves := craftedPayload(paired, pairedRec)
+	binary.BigEndian.PutUint64(halves[61+41+1:], blockSize-1)
+	swapped := plainRecord(0, blockSize)
+	swapped.Quant[0].Median, swapped.Quant[0].P95 = swapped.Quant[0].P95, swapped.Quant[0].Median
+	short := collected(blockSize)
+	short.Values = short.Values[:blockSize-1]
+	overRejected := plainRecord(1, 0)
+	overRejected.Rejected = 45 // the tail block holds 44 trials
+
+	for name, data := range map[string][]byte{
+		"aggregate over block":      craftedPayload(plain, plainRecord(0, blockSize+1)),
+		"aggregate 2^40":            huge,
+		"aggregate ignores rejects": craftedPayload(plain, func() StreamRecord { r := plainRecord(0, blockSize); r.Rejected = 1; return r }()),
+		"paired halves disagree":    halves,
+		"sketch in foreign slot":    craftedPayload(plain, swapped),
+		"values short of accepted":  craftedPayload(collect, short),
+		"rejects over tail block":   craftedPayload(plain, overRejected),
+	} {
+		if _, err := DecodeShardPayload(data); err == nil {
+			t.Errorf("%s: decoded a record no run produces", name)
+		}
 	}
 }
 

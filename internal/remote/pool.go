@@ -243,12 +243,12 @@ func (p *Pool) ExecuteShard(ctx context.Context, spec core.RunSpec, shard mc.Sha
 		return err
 	}
 	var checkpoint []byte
-	if art, rerr := core.ReadShardArtifact(path); rerr == nil && art.Verify(key, shard) == nil {
-		if art.Header.Complete {
-			return nil
-		}
-		if checkpoint, err = os.ReadFile(path); err != nil {
-			checkpoint = nil
+	if data, rerr := os.ReadFile(path); rerr == nil {
+		if art, aerr := acceptArtifact(data, key, shard, false); aerr == nil {
+			if art.Header.Complete {
+				return nil
+			}
+			checkpoint = data
 		}
 	}
 	pe := p.pick(ctx)
@@ -322,41 +322,25 @@ func (p *Pool) dispatch(ctx context.Context, pe *peer, sr ShardRequest, key stri
 			if progress != nil {
 				progress(f.done, f.total)
 			}
-		case frameCheckpoint:
+		case frameCheckpoint, frameArtifact:
 			// Validate before landing: a drifted or confused worker must
-			// not overwrite a good local checkpoint.
-			art, verr := core.ReadShardArtifactFrom(bytes.NewReader(f.data))
-			if verr == nil {
-				verr = art.Verify(key, shard)
-			}
+			// not overwrite a good local checkpoint, and the terminal
+			// artifact must be complete.
+			art, verr := acceptArtifact(f.data, key, shard, f.kind == frameArtifact)
 			if verr != nil {
 				pe.live.Store(false)
-				return fmt.Errorf("remote: peer %s shipped a bad checkpoint: %w", pe.url, verr)
+				return fmt.Errorf("remote: peer %s shipped a bad %s: %w", pe.url, f.kind, verr)
 			}
 			if werr := core.WriteShardArtifactFile(path, f.data); werr != nil {
 				return werr
 			}
 			p.stats.ShippedBytes.Add(int64(len(f.data)))
-		case frameArtifact:
-			art, verr := core.ReadShardArtifactFrom(bytes.NewReader(f.data))
-			if verr == nil {
-				verr = art.Verify(key, shard)
+			if f.kind == frameArtifact {
+				if progress != nil {
+					progress(art.Payload.Frontier(shard))
+				}
+				return nil
 			}
-			if verr == nil && !art.Header.Complete {
-				verr = errors.New("artifact is an incomplete checkpoint")
-			}
-			if verr != nil {
-				pe.live.Store(false)
-				return fmt.Errorf("remote: peer %s shipped a bad artifact: %w", pe.url, verr)
-			}
-			if werr := core.WriteShardArtifactFile(path, f.data); werr != nil {
-				return werr
-			}
-			p.stats.ShippedBytes.Add(int64(len(f.data)))
-			if progress != nil {
-				progress(art.Payload.Frontier(shard))
-			}
-			return nil
 		case frameError:
 			// A clean worker-side failure: the peer is alive and
 			// responsive, so it stays live — but the shard failed and the

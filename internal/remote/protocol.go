@@ -82,6 +82,25 @@ func (r ShardRequest) Shard() mc.ShardSpec {
 	return mc.ShardSpec{Index: r.ShardIndex, Count: r.ShardCount}
 }
 
+// acceptArtifact is the fabric's one acceptance check on shipped artifact
+// bytes — a dispatch's checkpoint, a checkpoint or artifact frame, the
+// worker's own finished shard, a coordinator's local checkpoint: decode,
+// then core's Verify against the dispatch's (run key, shard), and, when
+// complete is set, refuse a resumable checkpoint.
+func acceptArtifact(data []byte, key string, shard mc.ShardSpec, complete bool) (*core.ShardArtifact, error) {
+	art, err := core.DecodeShardArtifact(data)
+	if err != nil {
+		return nil, err
+	}
+	if err := art.Verify(key, shard); err != nil {
+		return nil, err
+	}
+	if complete && !art.Header.Complete {
+		return nil, fmt.Errorf("artifact is an incomplete checkpoint")
+	}
+	return art, nil
+}
+
 // ---------------------------------------------------------------- frames
 //
 // The response stream is a sequence of frames, each a header line plus

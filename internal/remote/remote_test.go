@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -124,8 +126,9 @@ func TestRemoteShardRoundTrip(t *testing.T) {
 }
 
 // TestWorkerRefusals pins the pre-stream HTTP refusals: engine drift and
-// run-key drift answer 409, malformed dispatches 400, draining 503 —
-// before any artifact bytes move.
+// run-key drift answer 409, malformed dispatches (junk or impossible
+// checkpoints included) 400, draining 503 — before any artifact bytes
+// move.
 func TestWorkerRefusals(t *testing.T) {
 	w := NewWorker(1, 1, t.TempDir())
 	ts, drain := newWorkerServer(t, w)
@@ -188,11 +191,86 @@ func TestWorkerRefusals(t *testing.T) {
 	if code, msg := post(junkCkpt); code != http.StatusBadRequest || !strings.Contains(msg, "checkpoint") {
 		t.Fatalf("junk checkpoint: %d %q", code, msg)
 	}
+	// A checkpoint whose header reproduces the (public) run key but whose
+	// records no run could produce: one block's accumulator claims
+	// blockSize+1 trials.
+	fig5, err := (core.RunSpec{Workload: "fig5", Samples: 1000}).Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig5Key, err := fig5.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := mc.ShardSpec{Index: 0, Count: 1}
+	crafted := localShard(t, fig5, whole)
+	// Container: 8-byte magic, 4-byte header length, JSON header. Payload:
+	// version 1 + stream count 8 + stream header 27 + record count 8 +
+	// block 8 + rejects 8 + Welford version 1, then the Welford count.
+	hlen := int(binary.BigEndian.Uint32(crafted[8:]))
+	binary.BigEndian.PutUint64(crafted[12+hlen+61:], 256+1)
+	if code, msg := post(NewShardRequest(fig5, whole, fig5Key, crafted)); code != http.StatusBadRequest ||
+		!strings.Contains(msg, "dispatch checkpoint") {
+		t.Fatalf("impossible checkpoint: %d %q", code, msg)
+	}
 
 	drain()
 	if code, msg := post(NewShardRequest(spec, shard, key, nil)); code != http.StatusServiceUnavailable ||
 		!strings.Contains(msg, "draining") {
 		t.Fatalf("draining worker: %d %q", code, msg)
+	}
+}
+
+// TestWorkerClose: Close waits out an in-flight dispatch (canceled through
+// the worker's ctx, as a server drain does), then removes the scratch
+// directory NewWorker created; later dispatches answer 503.
+func TestWorkerClose(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	w := NewWorker(1, 1, "")
+	ts, drain := newWorkerServer(t, w)
+	p := newTestPool(t, ts.URL)
+	spec, err := (core.RunSpec{Workload: "fig5", Samples: 200000}).Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := mc.ShardSpec{Index: 0, Count: 1}
+
+	started := make(chan struct{})
+	var once sync.Once
+	dispatched := make(chan error, 1)
+	go func() {
+		dispatched <- p.ExecuteShard(context.Background(), spec, shard, filepath.Join(t.TempDir(), "x.shard"),
+			func(done, total int) { once.Do(func() { close(started) }) })
+	}()
+	<-started
+	closed := make(chan error, 1)
+	go func() { closed <- w.Close() }()
+	drain()
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if n := w.Stats().ShardsActive.Load(); n != 0 {
+		t.Fatalf("Close returned with %d shards still executing", n)
+	}
+	if err := <-dispatched; err == nil {
+		t.Fatal("a dispatch canceled mid-shard reported success")
+	}
+	if left, _ := filepath.Glob(filepath.Join(tmp, "mpvar-shardwork-*")); len(left) > 0 {
+		t.Fatalf("Close left the scratch directory behind: %v", left)
+	}
+	key, err := spec.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal(NewShardRequest(spec, shard, key, nil))
+	resp, err := http.Post(ts.URL+ShardsPath, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("dispatch to a closed worker: %d", resp.StatusCode)
 	}
 }
 

@@ -4,7 +4,6 @@
 package remote
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -42,21 +41,27 @@ type Worker struct {
 	CheckpointEvery time.Duration
 
 	dir           string
+	ownDir        bool // dir is a temp directory NewWorker made; Close removes it
 	engineWorkers int
 	sem           chan struct{}
 	stats         WorkerStats
+
+	mu     sync.Mutex
+	closed bool
+	active sync.WaitGroup // ServeShard calls in flight
 }
 
 // NewWorker builds a worker executing at most slots shards concurrently,
 // each with engineWorkers Monte-Carlo workers (0 = all CPUs), keeping
 // scratch artifacts under dir. An empty dir gets a unique temp
 // directory, so coordinator and worker instances sharing one machine
-// (or one test process) never collide on scratch files.
+// (or one test process) never collide on scratch files; Close removes it.
 func NewWorker(slots, engineWorkers int, dir string) *Worker {
 	if slots <= 0 {
 		slots = 1
 	}
-	if dir == "" {
+	ownDir := dir == ""
+	if ownDir {
 		var err error
 		if dir, err = os.MkdirTemp("", "mpvar-shardwork-"); err != nil {
 			dir = filepath.Join(os.TempDir(), fmt.Sprintf("mpvar-shardwork-%d", os.Getpid()))
@@ -65,9 +70,25 @@ func NewWorker(slots, engineWorkers int, dir string) *Worker {
 	return &Worker{
 		CheckpointEvery: defaultCheckpointEvery,
 		dir:             dir,
+		ownDir:          ownDir,
 		engineWorkers:   engineWorkers,
 		sem:             make(chan struct{}, slots),
 	}
+}
+
+// Close refuses further dispatches (503), waits for the ones in flight
+// to return — cancel their ctx first, or this waits for them to finish —
+// and removes the scratch directory if NewWorker created it. Safe to
+// call more than once.
+func (w *Worker) Close() error {
+	w.mu.Lock()
+	w.closed = true
+	w.mu.Unlock()
+	w.active.Wait()
+	if w.ownDir {
+		return os.RemoveAll(w.dir)
+	}
+	return nil
 }
 
 // Stats exposes the worker counters for the healthz body.
@@ -94,6 +115,16 @@ func mustQuote(s string) string {
 // 409 for engine/run-key drift, 503 when ctx is already done — so a
 // coordinator can tell a refusing peer from a failing shard.
 func (w *Worker) ServeShard(ctx context.Context, rw http.ResponseWriter, req *http.Request) {
+	w.mu.Lock()
+	if w.closed {
+		w.mu.Unlock()
+		jsonError(rw, http.StatusServiceUnavailable, "worker is draining")
+		return
+	}
+	w.active.Add(1)
+	w.mu.Unlock()
+	defer w.active.Done()
+
 	dec := json.NewDecoder(req.Body)
 	dec.DisallowUnknownFields()
 	var sr ShardRequest
@@ -227,14 +258,7 @@ func (w *Worker) ServeShard(ctx context.Context, rw http.ResponseWriter, req *ht
 	}
 	// Validate what we are about to ship exactly the way the coordinator
 	// will on receipt — a worker never ships bytes it would itself refuse.
-	art, err := core.ReadShardArtifactFrom(bytes.NewReader(data))
-	if err == nil {
-		err = art.Verify(key, shard)
-	}
-	if err == nil && !art.Header.Complete {
-		err = fmt.Errorf("finished shard left an incomplete artifact")
-	}
-	if err != nil {
+	if _, err := acceptArtifact(data, key, shard, true); err != nil {
 		fw.sendError(err.Error())
 		return
 	}
@@ -252,15 +276,12 @@ func (w *Worker) landCheckpoint(path string, sr ShardRequest, key string, shard 
 	if len(sr.Checkpoint) == 0 {
 		return nil
 	}
-	shipped, err := core.ReadShardArtifactFrom(bytes.NewReader(sr.Checkpoint))
+	shipped, err := acceptArtifact(sr.Checkpoint, key, shard, false)
 	if err != nil {
 		return fmt.Errorf("dispatch checkpoint: %w", err)
 	}
-	if err := shipped.Verify(key, shard); err != nil {
-		return fmt.Errorf("dispatch checkpoint: %w", err)
-	}
-	if local, err := core.ReadShardArtifact(path); err == nil {
-		if lerr := local.Verify(key, shard); lerr == nil {
+	if data, err := os.ReadFile(path); err == nil {
+		if local, err := acceptArtifact(data, key, shard, false); err == nil {
 			ld, _ := local.Payload.Frontier(shard)
 			sd, _ := shipped.Payload.Frontier(shard)
 			if local.Header.Complete || ld >= sd {

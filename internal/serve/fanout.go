@@ -149,15 +149,19 @@ func (s *Server) executeFanout(r *run, nshards int) ([]byte, error) {
 	paths := make([]string, nshards)
 	for i := range paths {
 		paths[i] = filepath.Join(s.cfg.FanoutDir, core.ShardArtifactName(r.key, i, nshards))
+		shard := mc.ShardSpec{Index: i, Count: nshards}
 		art, err := core.ReadShardArtifact(paths[i])
+		if err == nil {
+			err = art.Verify(r.key, shard)
+		}
 		switch {
-		case err == nil && art.Header.RunKey == r.key && art.Header.ShardIndex == i && art.Header.ShardCount == nshards:
+		case err == nil:
 			// A checkpoint a drained (or crashed) predecessor left behind:
 			// resume it, and let its frontier show as progress immediately.
 			s.fanout.shardsResumed.Add(1)
-			done, total := art.Payload.Frontier(mc.ShardSpec{Index: i, Count: nshards})
+			done, total := art.Payload.Frontier(shard)
 			agg.update(i, done, total)
-		case err == nil || !errors.Is(err, os.ErrNotExist):
+		case !errors.Is(err, os.ErrNotExist):
 			// A foreign, stale or corrupt file squatting on our name —
 			// clear it so the shard starts fresh.
 			os.Remove(paths[i])

@@ -264,19 +264,25 @@ func (s *Server) renderBody(r *run, res *exp.Result) ([]byte, error) {
 // already being refused (the caller flips draining via beginDrain or
 // this call does), the queue closes so workers exit after finishing
 // every queued and in-flight run, and Drain returns when the pool is
-// idle. If ctx expires first, in-flight runs are hard-canceled through
+// idle and the shard worker has closed (its scratch directory removed).
+// If ctx expires first, in-flight runs are hard-canceled through
 // the base context and Drain still waits for the workers to return
 // before reporting the deadline error.
 func (s *Server) Drain(ctx context.Context) error {
 	s.beginDrain()
 	idle := make(chan struct{})
+	var closeErr error
 	go func() {
 		s.workers.Wait()
+		// Shards served for peers run under the fan-out context that
+		// beginDrain canceled; once they return, the worker's scratch
+		// directory goes with them.
+		closeErr = s.remoteWorker.Close()
 		close(idle)
 	}()
 	select {
 	case <-idle:
-		return nil
+		return closeErr
 	case <-ctx.Done():
 		s.stop() // hard-cancel in-flight runs between blocks/transients
 		<-idle

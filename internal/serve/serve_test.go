@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -66,7 +67,7 @@ func init() {
 		Name: "testslow", Summary: "test-only: blocks until released",
 		Order:  900,
 		Params: []exp.ParamSpec{{Name: "tag", Kind: exp.StringParam, Default: "", Help: "gate tag"}},
-		Run: func(ctx context.Context, e exp.Env, p exp.Params) (*exp.Result, error) {
+		Run: func(e exp.Env, p exp.Params) (*exp.Result, error) {
 			tag := p.String("tag")
 			execCount(tag).Add(1)
 			if e.MC.Progress != nil {
@@ -74,8 +75,8 @@ func init() {
 			}
 			select {
 			case <-gate(tag):
-			case <-ctx.Done():
-				return nil, ctx.Err()
+			case <-e.Ctx.Done():
+				return nil, e.Ctx.Err()
 			}
 			if e.MC.Progress != nil {
 				e.MC.Progress(2, 2)
@@ -89,7 +90,7 @@ func init() {
 		Name: "testcheap", Summary: "test-only: instant deterministic table",
 		Order:  901,
 		Params: []exp.ParamSpec{{Name: "x", Kind: exp.IntParam, Default: 7, Help: "value"}},
-		Run: func(ctx context.Context, e exp.Env, p exp.Params) (*exp.Result, error) {
+		Run: func(e exp.Env, p exp.Params) (*exp.Result, error) {
 			execCount("cheap").Add(1)
 			t := report.New("test cheap", "x", "seed", "samples", "process")
 			_ = t.Appendf(p.Int("x"), e.MC.Seed, e.MC.Samples, e.Proc.Name)
@@ -99,7 +100,7 @@ func init() {
 	exp.Register(exp.Workload{
 		Name: "testfail", Summary: "test-only: always errors",
 		Order: 902,
-		Run: func(ctx context.Context, e exp.Env, p exp.Params) (*exp.Result, error) {
+		Run: func(e exp.Env, p exp.Params) (*exp.Result, error) {
 			execCount("fail").Add(1)
 			return nil, fmt.Errorf("deliberate failure")
 		},
@@ -515,6 +516,30 @@ func TestDrainCompletesInflight(t *testing.T) {
 	}
 	if got := execCount(tagB).Load(); got != 0 {
 		t.Fatalf("draining server executed a new run %d times", got)
+	}
+}
+
+// TestDrainRemovesWorkerScratch: every server carries a shard worker
+// whose scratch directory New creates under TMPDIR; Drain removes it, so
+// New+Drain cycles leave nothing behind.
+func TestDrainRemovesWorkerScratch(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	for i := 0; i < 3; i++ {
+		s := New(Config{Workers: 1})
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		err := s.Drain(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("drain %d: %v", i, err)
+		}
+	}
+	left, err := filepath.Glob(filepath.Join(tmp, "mpvar-shardwork-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) > 0 {
+		t.Fatalf("Drain left worker scratch directories behind: %v", left)
 	}
 }
 

@@ -2,32 +2,41 @@ package stats
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 )
 
-// encodeW/encodeP/encodeC are tiny helpers: the canonical byte form used
-// for bit-identity comparisons (NaN-safe, unlike struct equality).
-func encodeW(t *testing.T, w Welford) []byte {
-	t.Helper()
-	b, err := w.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
+// decodeAll runs one Decode over b and requires it to consume the whole
+// buffer: each accumulator is a fixed-size record, so leftover bytes mean
+// a malformed encoding.
+func decodeAll(b []byte, decode func(*CodecReader)) error {
+	r := NewCodecReader(b)
+	decode(r)
+	if err := r.Err(); err != nil {
+		return err
 	}
-	return b
+	if r.Rest() != 0 {
+		return fmt.Errorf("stats: %d trailing bytes", r.Rest())
+	}
+	return nil
 }
+
+// encodeW is the canonical byte form used for bit-identity comparisons
+// (NaN-safe, unlike struct equality).
+func encodeW(w Welford) []byte { return w.AppendBinary(nil) }
 
 func TestWelfordCodecRoundTrip(t *testing.T) {
 	var w Welford
 	for _, v := range []float64{1.5, -2.25, 3.75, 0.125, 1e-300, -1e300} {
 		w.Add(v)
 	}
-	b := encodeW(t, w)
-	if len(b) != WelfordEncodedSize {
-		t.Fatalf("encoded size %d, want %d", len(b), WelfordEncodedSize)
+	b := encodeW(w)
+	if len(b) != 1+5*8 {
+		t.Fatalf("encoded size %d, want %d", len(b), 1+5*8)
 	}
 	var got Welford
-	if err := got.UnmarshalBinary(b); err != nil {
+	if err := decodeAll(b, got.Decode); err != nil {
 		t.Fatal(err)
 	}
 	if got != w {
@@ -40,7 +49,7 @@ func TestWelfordCodecRoundTrip(t *testing.T) {
 	base2.Add(42)
 	base1.Merge(w)
 	base2.Merge(got)
-	if !bytes.Equal(encodeW(t, base1), encodeW(t, base2)) {
+	if !bytes.Equal(encodeW(base1), encodeW(base2)) {
 		t.Fatal("merge after round trip is not bit-identical")
 	}
 }
@@ -49,7 +58,7 @@ func TestWelfordCodecZeroValue(t *testing.T) {
 	var w Welford
 	var got Welford
 	got.Add(1) // dirty the target; decode must fully overwrite
-	if err := got.UnmarshalBinary(encodeW(t, w)); err != nil {
+	if err := decodeAll(encodeW(w), got.Decode); err != nil {
 		t.Fatal(err)
 	}
 	if got != w {
@@ -62,15 +71,12 @@ func TestP2CodecRoundTrip(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		e.Add(float64(i%17) * 1.25)
 	}
-	b, err := e.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b) != P2EncodedSize {
-		t.Fatalf("encoded size %d, want %d", len(b), P2EncodedSize)
+	b := e.AppendBinary(nil)
+	if len(b) != 1+2*8+4*5*8 {
+		t.Fatalf("encoded size %d, want %d", len(b), 1+2*8+4*5*8)
 	}
 	var got P2
-	if err := got.UnmarshalBinary(b); err != nil {
+	if err := decodeAll(b, got.Decode); err != nil {
 		t.Fatal(err)
 	}
 	if got != e {
@@ -80,9 +86,8 @@ func TestP2CodecRoundTrip(t *testing.T) {
 	small := NewP2(0.5)
 	small.Add(3)
 	small.Add(-1)
-	sb, _ := small.MarshalBinary()
 	var sgot P2
-	if err := sgot.UnmarshalBinary(sb); err != nil {
+	if err := decodeAll(small.AppendBinary(nil), sgot.Decode); err != nil {
 		t.Fatal(err)
 	}
 	if sgot != small {
@@ -96,15 +101,12 @@ func TestControlVariateCodecRoundTrip(t *testing.T) {
 		y := float64(i) * 0.5
 		c.Add(y, 2*y+0.125)
 	}
-	b, err := c.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b) != ControlVariateEncodedSize {
-		t.Fatalf("encoded size %d, want %d", len(b), ControlVariateEncodedSize)
+	b := c.AppendBinary(nil)
+	if want := 1 + 2*(1+5*8) + 8; len(b) != want {
+		t.Fatalf("encoded size %d, want %d", len(b), want)
 	}
 	var got ControlVariate
-	if err := got.UnmarshalBinary(b); err != nil {
+	if err := decodeAll(b, got.Decode); err != nil {
 		t.Fatal(err)
 	}
 	if got != c {
@@ -117,28 +119,28 @@ func TestControlVariateCodecRoundTrip(t *testing.T) {
 func TestCodecRejectsVersionMismatch(t *testing.T) {
 	var w Welford
 	w.Add(1)
-	b := encodeW(t, w)
+	b := encodeW(w)
 	b[0] = 99
-	if err := new(Welford).UnmarshalBinary(b); err == nil {
+	if err := decodeAll(b, new(Welford).Decode); err == nil {
 		t.Fatal("Welford decoded a foreign version byte")
 	}
 	e := NewP2(0.5)
-	pb, _ := e.MarshalBinary()
+	pb := e.AppendBinary(nil)
 	pb[0] = 99
-	if err := new(P2).UnmarshalBinary(pb); err == nil {
+	if err := decodeAll(pb, new(P2).Decode); err == nil {
 		t.Fatal("P2 decoded a foreign version byte")
 	}
 	var c ControlVariate
 	c.Add(1, 2)
-	cb, _ := c.MarshalBinary()
+	cb := c.AppendBinary(nil)
 	cb[0] = 99
-	if err := new(ControlVariate).UnmarshalBinary(cb); err == nil {
+	if err := decodeAll(cb, new(ControlVariate).Decode); err == nil {
 		t.Fatal("ControlVariate decoded a foreign version byte")
 	}
 	// The nested Welford versions inside a ControlVariate are checked too.
-	cb2, _ := c.MarshalBinary()
+	cb2 := c.AppendBinary(nil)
 	cb2[1] = 99
-	if err := new(ControlVariate).UnmarshalBinary(cb2); err == nil {
+	if err := decodeAll(cb2, new(ControlVariate).Decode); err == nil {
 		t.Fatal("ControlVariate decoded a foreign nested Welford version")
 	}
 }
@@ -149,9 +151,9 @@ func TestCodecRejectsTruncation(t *testing.T) {
 	var w Welford
 	w.Add(1)
 	w.Add(-3)
-	wb := encodeW(t, w)
+	wb := encodeW(w)
 	for i := 0; i < len(wb); i++ {
-		if err := new(Welford).UnmarshalBinary(wb[:i]); err == nil {
+		if err := decodeAll(wb[:i], new(Welford).Decode); err == nil {
 			t.Fatalf("Welford decoded a %d-byte truncation", i)
 		}
 	}
@@ -159,34 +161,35 @@ func TestCodecRejectsTruncation(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		e.Add(float64(i))
 	}
-	pb, _ := e.MarshalBinary()
+	pb := e.AppendBinary(nil)
 	for i := 0; i < len(pb); i++ {
-		if err := new(P2).UnmarshalBinary(pb[:i]); err == nil {
+		if err := decodeAll(pb[:i], new(P2).Decode); err == nil {
 			t.Fatalf("P2 decoded a %d-byte truncation", i)
 		}
 	}
 	var c ControlVariate
 	c.Add(1, 2)
-	cb, _ := c.MarshalBinary()
+	cb := c.AppendBinary(nil)
 	for i := 0; i < len(cb); i++ {
-		if err := new(ControlVariate).UnmarshalBinary(cb[:i]); err == nil {
+		if err := decodeAll(cb[:i], new(ControlVariate).Decode); err == nil {
 			t.Fatalf("ControlVariate decoded a %d-byte truncation", i)
 		}
 	}
 }
 
-// TestCodecRejectsTrailingBytes: Unmarshal is strict about length.
+// TestCodecRejectsTrailingBytes: a fixed-size record leaves the bytes
+// after it unconsumed, which is how a whole-buffer decode detects them.
 func TestCodecRejectsTrailingBytes(t *testing.T) {
 	var w Welford
 	w.Add(1)
-	b := append(encodeW(t, w), 0)
-	if err := new(Welford).UnmarshalBinary(b); err == nil {
+	b := append(encodeW(w), 0)
+	if err := decodeAll(b, new(Welford).Decode); err == nil {
 		t.Fatal("Welford accepted trailing bytes")
 	}
 }
 
-// TestCodecStreamingDecode: the Decode* helpers consume exactly one
-// record and return the rest — the artifact reader's access pattern.
+// TestCodecStreamingDecode: Decode consumes exactly one record and
+// leaves the rest on the reader — the artifact reader's access pattern.
 func TestCodecStreamingDecode(t *testing.T) {
 	var w1, w2 Welford
 	w1.Add(1)
@@ -194,16 +197,18 @@ func TestCodecStreamingDecode(t *testing.T) {
 	w2.Add(5)
 	buf := w1.AppendBinary(nil)
 	buf = w2.AppendBinary(buf)
-	g1, rest, err := DecodeWelford(buf)
-	if err != nil {
-		t.Fatal(err)
+	r := NewCodecReader(buf)
+	var g1, g2 Welford
+	g1.Decode(r)
+	if r.Err() != nil || r.Rest() != len(encodeW(w2)) {
+		t.Fatalf("first decode: err=%v rest=%d", r.Err(), r.Rest())
 	}
-	g2, rest, err := DecodeWelford(rest)
-	if err != nil {
-		t.Fatal(err)
+	g2.Decode(r)
+	if r.Err() != nil {
+		t.Fatal(r.Err())
 	}
-	if len(rest) != 0 || g1 != w1 || g2 != w2 {
-		t.Fatalf("streaming decode drifted: %+v %+v rest=%d", g1, g2, len(rest))
+	if r.Rest() != 0 || g1 != w1 || g2 != w2 {
+		t.Fatalf("streaming decode drifted: %+v %+v rest=%d", g1, g2, r.Rest())
 	}
 	if math.IsNaN(g2.Mean()) {
 		t.Fatal("decoded mean is NaN")
