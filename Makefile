@@ -7,7 +7,7 @@ GO ?= go
 # Raise it when coverage grows; never lower it without a written reason.
 COVER_MIN ?= 80.5
 
-.PHONY: all build test test-race bench bench-smoke bench-json fuzz-smoke cover cover-check lint fmt clean
+.PHONY: all build test test-race bench bench-smoke bench-json fuzz-smoke cover cover-check lint deadcode fmt clean
 
 all: build lint test
 
@@ -94,6 +94,30 @@ lint:
 	$(GO) vet ./...
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
+
+# Advisory, not a CI gate: list the mpsram/internal functions no program
+# links. It builds cmd/mpvar, examples/* and mpbench with inlining off
+# (every call stays a symbol), takes the functions each internal package
+# declares from its export data (go list -export), and prints those no
+# binary holds. Compiler-generated wrappers ((*T).M for a declared T.M,
+# promoted and interface-method wrappers) are dropped. The expected
+# output is the intentional keeps: analytic's PolyCoeffs and
+# AsymptoticTdpPct (tests pin paper claims with them), TdElmore and
+# TdpElmorePct (ROADMAP item 3's measurement decides them),
+# sparse.DenseSolve and internal/field (test oracles) and
+# stats.Welford's Mean/Min/Max (the accumulator tests read through them);
+# plus interface methods no program calls on that type
+# (extract.PlateFringe.Name, layout.Layer.String).
+deadcode:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -gcflags=all=-l -o "$$tmp/" ./cmd/mpvar ./examples/...; \
+	(cd mpbench && $(GO) build -gcflags=all=-l -o "$$tmp/mpbench" .); \
+	for b in "$$tmp"/*; do $(GO) tool nm "$$b"; done | \
+		awk '$$2 == "T" && $$3 ~ /^mpsram\/internal\// { print $$3 }' | sort -u > "$$tmp/linked"; \
+	for a in $$($(GO) list -export -f '{{.Export}}' ./internal/...); do $(GO) tool objdump "$$a"; done | \
+		awk '$$1 == "TEXT" && $$2 ~ /^mpsram\/internal\// && $$3 != "<autogenerated>" { sub(/\(SB\)$$/, "", $$2); print $$2 }' | \
+		grep -Ev '\.func[0-9]|\.gowrap[0-9]|\.init(\.|$$)|\[' | sort -u > "$$tmp/declared"; \
+	comm -23 "$$tmp/declared" "$$tmp/linked"
 
 fmt:
 	gofmt -w .

@@ -15,7 +15,6 @@ import (
 	"mpsram/internal/field"
 	"mpsram/internal/litho"
 	"mpsram/internal/mc"
-	"mpsram/internal/rctree"
 	"mpsram/internal/sparse"
 	"mpsram/internal/spice"
 	"mpsram/internal/sram"
@@ -459,7 +458,7 @@ func BenchmarkSparseLadderSolve(b *testing.B) {
 	n := 2048
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m := sparse.NewMatrix(n)
+		m := &sparse.Matrix{N: n, Rows: make([][]sparse.Entry, n)}
 		rhs := make([]float64, n)
 		for k := 0; k < n; k++ {
 			m.Add(k, k, 2)
@@ -471,7 +470,8 @@ func BenchmarkSparseLadderSolve(b *testing.B) {
 			}
 			rhs[k] = 1
 		}
-		if _, err := m.Solve(rhs); err != nil {
+		var s sparse.Solver
+		if _, err := s.Solve(m, rhs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -482,7 +482,7 @@ func BenchmarkSparseVsDense(b *testing.B) {
 	n := 200
 	build := func() (*sparse.Matrix, [][]float64, []float64) {
 		rng := rand.New(rand.NewSource(5))
-		m := sparse.NewMatrix(n)
+		m := &sparse.Matrix{N: n, Rows: make([][]sparse.Entry, n)}
 		d := make([][]float64, n)
 		rhs := make([]float64, n)
 		for i := range d {
@@ -508,7 +508,8 @@ func BenchmarkSparseVsDense(b *testing.B) {
 	b.Run("sparse", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			m, _, rhs := build()
-			if _, err := m.Solve(rhs); err != nil {
+			var s sparse.Solver
+			if _, err := s.Solve(m, rhs); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -643,20 +644,6 @@ func BenchmarkExtensionWritePenalty(b *testing.B) {
 		if i == 0 {
 			b.Logf("\n%s", exp.FormatWritePenalty(rows))
 		}
-	}
-}
-
-// BenchmarkElmoreLadder measures the RC-tree Elmore sweep at the largest
-// DOE bit line.
-func BenchmarkElmoreLadder(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr, end, err := rctree.BuildLadder(7e3, 0.4e-15, 1024, 6.2, 40e-18, 6e-15)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tau := tr.ElmoreDelays()
-		_ = tau[end]
 	}
 }
 

@@ -29,7 +29,7 @@
 //
 // The process axis lives in the Monte-Carlo engine and the exp layer:
 // Monte-Carlo streams key on (process, option, …), and the exp layer adds
-// the cross-node workloads — exp.Nodes, the Table-IV-style σ comparison
+// the cross-node workloads — exp.NodesAt, the Table-IV-style σ comparison
 // across N10/N7/N5 (`mpvar nodes`), per-process extended Table IV
 // surfaces, and the SPICE-measured cross-node check (`mpvar
 // mcspicenodes`), which runs one SPICE-in-the-loop Monte-Carlo per node.
@@ -60,10 +60,10 @@
 // Run(ctx, Env, Params) returning a Result whose typed rows feed one
 // rendering contract, so csv, markdown and json encoding live once in
 // internal/report instead of per table. core.Study.Run dispatches by
-// name, Study.Workloads lists the registry, and RunAll is a plan over the
-// workloads marked for the paper-order report. The mpvar CLI generates
-// its usage, per-workload flags and smoke coverage from the registry;
-// registering a workload (one file with an init block — see
+// name, exp.Workloads lists the registry, and the "all" workload is a
+// plan over the workloads marked for the paper-order report. The mpvar
+// CLI generates its usage, per-workload flags and smoke coverage from the
+// registry; registering a workload (one file with an init block — see
 // internal/exp/mcspicex.go for the template) adds its command, flags,
 // json output and CI smoke with no edits elsewhere.
 //

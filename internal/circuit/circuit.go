@@ -14,7 +14,6 @@ package circuit
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"mpsram/internal/device"
@@ -67,30 +66,6 @@ func (p Pulse) At(t float64) float64 {
 	default:
 		return p.V0
 	}
-}
-
-// PWL is a piecewise-linear waveform through (T[i], V[i]) points; constant
-// extrapolation outside the range.
-type PWL struct {
-	T, V []float64
-}
-
-// At implements Waveform.
-func (p PWL) At(t float64) float64 {
-	n := len(p.T)
-	if n == 0 {
-		return 0
-	}
-	if t <= p.T[0] {
-		return p.V[0]
-	}
-	if t >= p.T[n-1] {
-		return p.V[n-1]
-	}
-	i := sort.SearchFloat64s(p.T, t)
-	// p.T[i-1] < t ≤ p.T[i]
-	f := (t - p.T[i-1]) / (p.T[i] - p.T[i-1])
-	return p.V[i-1] + f*(p.V[i]-p.V[i-1])
 }
 
 // Resistor is a two-terminal linear resistance.

@@ -106,12 +106,17 @@ func TestWriteSpice(t *testing.T) {
 	}
 }
 
+// ramp is a waveform the deck writer has no SPICE card for.
+type ramp struct{ v0 float64 }
+
+func (r ramp) At(t float64) float64 { return r.v0 + t }
+
 func TestWaveformFallbackInWriter(t *testing.T) {
 	n := New()
-	n.AddV("pwl", n.Node("a"), Ground, PWL{T: []float64{0, 1}, V: []float64{0.3, 1}})
-	deck := n.WriteSpice("pwl")
-	if !strings.Contains(deck, "Vpwl a 0 DC 0.3") {
-		t.Fatalf("PWL fallback missing: %s", deck)
+	n.AddV("ramp", n.Node("a"), Ground, ramp{v0: 0.3})
+	deck := n.WriteSpice("ramp")
+	if !strings.Contains(deck, "Vramp a 0 DC 0.3") {
+		t.Fatalf("waveform fallback missing: %s", deck)
 	}
 }
 

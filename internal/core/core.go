@@ -5,14 +5,14 @@
 //
 // Experiments are addressed through the workload registry: Run executes
 // any registered workload by name with typed, schema-validated
-// parameters, Workloads lists the registry, and RunAll executes the
-// paper-order plan. Typical use:
+// parameters, exp.Workloads lists the registry, and the "all" workload
+// executes the paper-order plan. Typical use:
 //
 //	study, _ := core.NewStudy()
 //	res, _ := study.Run("table4", nil)      // Table IV as a Result
 //	res.Write(os.Stdout, report.FormatJSON) // any format, one encoder
 //	res, _ = study.Run("fig4", nil)         // Fig. 4 from one SPICE sweep
-//	study.RunAll(os.Stdout)                 // every table and figure
+//	res, _ = study.Run("all", nil)          // every table and figure
 //
 // The typed rows of a workload are res.Data, asserted to the workload's
 // row type (for example []exp.Table1Row for table1).
@@ -21,15 +21,12 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"mpsram/internal/analytic"
 	"mpsram/internal/exp"
 	"mpsram/internal/extract"
-	"mpsram/internal/litho"
 	"mpsram/internal/mc"
 	"mpsram/internal/sram"
-	"mpsram/internal/stats"
 	"mpsram/internal/tech"
 )
 
@@ -43,13 +40,6 @@ type Option func(*exp.Env)
 
 // WithProcess replaces the primary technology preset.
 func WithProcess(p tech.Process) Option { return func(e *exp.Env) { e.Proc = p } }
-
-// WithProcesses replaces the node comparison set of the cross-process
-// workloads (nodes, table4xp). The default set is the full
-// registry: N10, N7, N5.
-func WithProcesses(procs ...tech.Process) Option {
-	return func(e *exp.Env) { e.Procs = append([]tech.Process(nil), procs...) }
-}
 
 // LookupProcess resolves a preset name against the default registry. An
 // unknown name returns an error listing the valid names — CLIs should
@@ -138,43 +128,5 @@ func (s *Study) Run(name string, p exp.Params) (*exp.Result, error) {
 	return exp.Run(s.Env, name, p)
 }
 
-// Workloads lists the experiment registry in listing order.
-func (s *Study) Workloads() []exp.Workload { return exp.Workloads() }
-
 // Model returns the analytical formula parameters for this study.
 func (s *Study) Model() (analytic.Params, error) { return s.Env.Model() }
-
-// Ratios extracts the variability ratios for a sample.
-func (s *Study) Ratios(o litho.Option, smp litho.Sample) (extract.Ratios, error) {
-	return extract.VarRatios(s.Env.Proc, o, smp, s.Env.Cap)
-}
-
-// TdpDistribution runs a Monte-Carlo tdp distribution at array size n for
-// option o with this study's sample budget.
-func (s *Study) TdpDistribution(o litho.Option, n int) (stats.Summary, error) {
-	m, err := s.Model()
-	if err != nil {
-		return stats.Summary{}, err
-	}
-	ctx := s.Env.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	res, err := mc.TdpDistribution(ctx, s.Env.Proc, o, m, s.Env.Cap, n, s.Env.MC)
-	if err != nil {
-		return stats.Summary{}, err
-	}
-	return res.Summary, nil
-}
-
-// RunAll executes every experiment of the paper-order plan — the
-// registry workloads marked for it, including the shared-sweep
-// spicetables composite — and writes the paper-style report.
-func (s *Study) RunAll(w io.Writer) error {
-	res, err := s.Run("all", nil)
-	if err != nil {
-		return err
-	}
-	_, err = io.WriteString(w, res.Text)
-	return err
-}

@@ -68,7 +68,7 @@ func TestStudyRatios(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.Ratios(litho.EUV, litho.Sample{CDEUV: 3e-9})
+	r, err := extract.VarRatios(s.Env.Proc, litho.EUV, litho.Sample{CDEUV: 3e-9}, s.Env.Cap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,13 +82,20 @@ func TestStudyTdpDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := s.TdpDistribution(litho.SADP, 64)
+	res, err := s.Run("fig5", exp.Params{"n": 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.N != 800 || sum.Std <= 0 {
-		t.Fatalf("summary %+v", sum)
+	for _, r := range res.Data.([]exp.Fig5Result) {
+		if r.Option != litho.SADP {
+			continue
+		}
+		if r.N != 64 || r.Summary.N != 800 || r.Summary.Std <= 0 {
+			t.Fatalf("SADP distribution %+v", r.Summary)
+		}
+		return
 	}
+	t.Fatal("fig5 has no SADP distribution")
 }
 
 func TestWithMCPreservesProgress(t *testing.T) {
@@ -105,7 +112,7 @@ func TestWithMCPreservesProgress(t *testing.T) {
 	if s.Env.MC.Samples != 300 || s.Env.MC.Progress == nil {
 		t.Fatalf("config not composed: %+v", s.Env.MC)
 	}
-	if _, err := s.TdpDistribution(litho.EUV, 16); err != nil {
+	if _, err := s.Run("fig5", exp.Params{"n": 16}); err != nil {
 		t.Fatal(err)
 	}
 	if !fired {
@@ -150,7 +157,7 @@ func TestStudyContextAndProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.TdpDistribution(litho.EUV, 64); err != nil {
+	if _, err := s.Run("fig5", nil); err != nil {
 		t.Fatal(err)
 	}
 	if last != 500 {
@@ -178,11 +185,11 @@ func TestRunAllEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b strings.Builder
-	if err := s.RunAll(&b); err != nil {
+	res, err := s.Run("all", nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := b.String()
+	out := res.Text
 	for _, want := range []string{
 		"Table I:", "Fig. 2:", "Fig. 3:", "Fig. 4:",
 		"Table II:", "Table III:", "Fig. 5:", "Table IV:",
@@ -261,7 +268,7 @@ func TestProcessRegistryThroughFacade(t *testing.T) {
 		t.Fatalf("%d node rows", len(rows))
 	}
 	// Trimming the node set trims the comparison.
-	s2, err := NewStudy(WithProcesses(p), WithMC(mc.Config{Samples: 400, Seed: 7}))
+	s2, err := NewStudy(func(e *exp.Env) { e.Procs = []tech.Process{p} }, WithMC(mc.Config{Samples: 400, Seed: 7}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +283,7 @@ func TestProcessRegistryThroughFacade(t *testing.T) {
 	// An invalid preset in the node set fails construction.
 	bad := p
 	bad.M1.Width = -1
-	if _, err := NewStudy(WithProcesses(bad)); err == nil {
+	if _, err := NewStudy(func(e *exp.Env) { e.Procs = []tech.Process{bad} }); err == nil {
 		t.Fatal("invalid node-set preset must fail NewStudy")
 	}
 }

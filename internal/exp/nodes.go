@@ -75,17 +75,12 @@ func (e Env) processCases() ([]mc.ProcessCase, error) {
 	return cases, nil
 }
 
-// Nodes runs the Table-IV-style σ comparison across the environment's
-// node set at the paper's n = 64: per node, the tdp σ for LE3 at every
-// overlay budget plus SADP and EUV. Every node consumes its own
-// deterministic sample stream (same (Seed, trial) deviates, scaled by the
-// node's variation budgets), so the cross-node deltas are attributable to
-// the process.
-func Nodes(e Env) ([]NodesRow, error) {
-	return NodesAt(e, NodesN)
-}
-
-// NodesAt is Nodes at an explicit array size.
+// NodesAt runs the Table-IV-style σ comparison across the environment's
+// node set at array size n (the nodes workload defaults to the paper's
+// n = NodesN): per node, the tdp σ for LE3 at every overlay budget plus
+// SADP and EUV. Every node consumes its own deterministic sample stream
+// (same (Seed, trial) deviates, scaled by the node's variation budgets),
+// so the cross-node deltas are attributable to the process.
 func NodesAt(e Env, n int) ([]NodesRow, error) {
 	cases, err := e.processCases()
 	if err != nil {

@@ -12,21 +12,12 @@ package geom
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Interval is a 1-D closed interval [Lo, Hi], used for wire cross-sections
 // across the line array.
 type Interval struct {
 	Lo, Hi float64
-}
-
-// NewInterval returns the interval spanning a and b regardless of order.
-func NewInterval(a, b float64) Interval {
-	if a > b {
-		a, b = b, a
-	}
-	return Interval{Lo: a, Hi: b}
 }
 
 // CenterWidth builds an interval from a centre coordinate and a width.
@@ -38,35 +29,9 @@ func CenterWidth(center, width float64) Interval {
 // Width returns Hi-Lo.
 func (iv Interval) Width() float64 { return iv.Hi - iv.Lo }
 
-// Center returns the midpoint.
-func (iv Interval) Center() float64 { return (iv.Lo + iv.Hi) / 2 }
-
-// Empty reports whether the interval has non-positive width.
-func (iv Interval) Empty() bool { return iv.Hi <= iv.Lo }
-
-// Shift translates the interval by d.
-func (iv Interval) Shift(d float64) Interval {
-	return Interval{Lo: iv.Lo + d, Hi: iv.Hi + d}
-}
-
-// Expand grows the interval symmetrically by d on each side (negative d
-// shrinks it).
-func (iv Interval) Expand(d float64) Interval {
-	return Interval{Lo: iv.Lo - d, Hi: iv.Hi + d}
-}
-
 // Overlaps reports whether the two intervals intersect with positive length.
 func (iv Interval) Overlaps(o Interval) bool {
 	return iv.Lo < o.Hi && o.Lo < iv.Hi
-}
-
-// Intersect returns the overlapping part; empty if they do not overlap.
-func (iv Interval) Intersect(o Interval) Interval {
-	r := Interval{Lo: math.Max(iv.Lo, o.Lo), Hi: math.Min(iv.Hi, o.Hi)}
-	if r.Empty() {
-		return Interval{}
-	}
-	return r
 }
 
 // Gap returns the clear distance between two disjoint intervals; zero if
@@ -81,9 +46,6 @@ func (iv Interval) Gap(o Interval) float64 {
 	return iv.Lo - o.Hi
 }
 
-// Contains reports whether x lies within the closed interval.
-func (iv Interval) Contains(x float64) bool { return x >= iv.Lo && x <= iv.Hi }
-
 func (iv Interval) String() string {
 	return fmt.Sprintf("[%.3g,%.3g]", iv.Lo, iv.Hi)
 }
@@ -95,15 +57,6 @@ type Point struct {
 
 // Add returns p+q.
 func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
-// Sub returns p−q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
-// Scale returns p scaled by s.
-func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
-
-// Dist returns the Euclidean distance to q.
-func (p Point) Dist(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
 
 // Rect is an axis-aligned rectangle with Min ≤ Max corner convention.
 type Rect struct {
@@ -127,32 +80,12 @@ func (r Rect) W() float64 { return r.Max.X - r.Min.X }
 // H returns the height (y extent).
 func (r Rect) H() float64 { return r.Max.Y - r.Min.Y }
 
-// Area returns W*H.
-func (r Rect) Area() float64 { return r.W() * r.H() }
-
 // Empty reports whether the rectangle has non-positive area.
 func (r Rect) Empty() bool { return r.W() <= 0 || r.H() <= 0 }
-
-// Center returns the midpoint of the rectangle.
-func (r Rect) Center() Point {
-	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
-}
 
 // Translate shifts the rectangle by d.
 func (r Rect) Translate(d Point) Rect {
 	return Rect{Min: r.Min.Add(d), Max: r.Max.Add(d)}
-}
-
-// Intersect returns the overlap of two rectangles (empty Rect if none).
-func (r Rect) Intersect(o Rect) Rect {
-	res := Rect{
-		Min: Point{math.Max(r.Min.X, o.Min.X), math.Max(r.Min.Y, o.Min.Y)},
-		Max: Point{math.Min(r.Max.X, o.Max.X), math.Min(r.Max.Y, o.Max.Y)},
-	}
-	if res.Empty() {
-		return Rect{}
-	}
-	return res
 }
 
 // Union returns the bounding box of both rectangles.
@@ -169,17 +102,6 @@ func (r Rect) Union(o Rect) Rect {
 	}
 }
 
-// ContainsPoint reports whether p lies within the closed rectangle.
-func (r Rect) ContainsPoint(p Point) bool {
-	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
-// XInterval returns the x-extent as an Interval.
-func (r Rect) XInterval() Interval { return Interval{r.Min.X, r.Max.X} }
-
-// YInterval returns the y-extent as an Interval.
-func (r Rect) YInterval() Interval { return Interval{r.Min.Y, r.Max.Y} }
-
 func (r Rect) String() string {
 	return fmt.Sprintf("(%.3g,%.3g)-(%.3g,%.3g)", r.Min.X, r.Min.Y, r.Max.X, r.Max.Y)
 }
@@ -192,45 +114,3 @@ type Trapezoid struct {
 
 // Area returns the trapezoid cross-section area.
 func (tz Trapezoid) Area() float64 { return (tz.WTop + tz.WBot) / 2 * tz.T }
-
-// MeanWidth returns the width of the equal-area rectangle.
-func (tz Trapezoid) MeanWidth() float64 { return (tz.WTop + tz.WBot) / 2 }
-
-// Shrink returns the trapezoid with all faces pulled in by d (e.g. a
-// barrier liner of thickness d consuming conductor area).
-func (tz Trapezoid) Shrink(d float64) Trapezoid {
-	s := Trapezoid{WTop: tz.WTop - 2*d, WBot: tz.WBot - 2*d, T: tz.T - d}
-	if s.WTop < 0 {
-		s.WTop = 0
-	}
-	if s.WBot < 0 {
-		s.WBot = 0
-	}
-	if s.T < 0 {
-		s.T = 0
-	}
-	return s
-}
-
-// SortIntervals orders intervals by Lo then Hi, in place, and returns the
-// slice for convenience.
-func SortIntervals(ivs []Interval) []Interval {
-	sort.Slice(ivs, func(i, j int) bool {
-		if ivs[i].Lo != ivs[j].Lo {
-			return ivs[i].Lo < ivs[j].Lo
-		}
-		return ivs[i].Hi < ivs[j].Hi
-	})
-	return ivs
-}
-
-// Disjoint reports whether the sorted intervals are pairwise
-// non-overlapping (adjacent touching allowed).
-func Disjoint(ivs []Interval) bool {
-	for i := 1; i < len(ivs); i++ {
-		if ivs[i-1].Hi > ivs[i].Lo {
-			return false
-		}
-	}
-	return true
-}

@@ -71,17 +71,6 @@ func (c *Cell) Bounds() geom.Rect {
 	return b
 }
 
-// OnLayer returns the shapes on one layer.
-func (c *Cell) OnLayer(l Layer) []Shape {
-	var out []Shape
-	for _, s := range c.Shapes {
-		if s.Layer == l {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // m1TrackNets is the vertical M1 track order within one cell, bottom to
 // top: the bit-line pair embedded in the power grid (paper Fig. 1b).
 var m1TrackNets = []string{"VSS", "BL", "VDD", "BLB", "VSS"}
@@ -181,20 +170,6 @@ func (c *Cell) mergeHorizontalM1() {
 		merged = append(merged, Shape{Layer: LayerM1, Net: k.net, Rect: cur})
 	}
 	c.Shapes = merged
-}
-
-// FromWindow renders a realized patterning window (litho cross-section) as
-// wires of the given length — the Fig. 2 "layout distortion" artefact.
-func FromWindow(p tech.Process, win litho.Window, length float64) *Cell {
-	c := &Cell{Name: fmt.Sprintf("window_%v", win.Option)}
-	for _, w := range win.Wires {
-		c.Shapes = append(c.Shapes, Shape{
-			Layer: LayerM1,
-			Net:   fmt.Sprintf("%v(%v)", w.Net, w.Mask),
-			Rect:  geom.NewRect(0, w.Span.Lo, length, w.Span.Hi),
-		})
-	}
-	return c
 }
 
 // WriteGDSText emits the cell in a GDSII-flavoured text stream (one BOUNDARY

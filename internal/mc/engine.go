@@ -80,9 +80,6 @@ type VectorResult struct {
 	Rejected int
 }
 
-// Accepted returns the number of accepted trials.
-func (r *VectorResult) Accepted() int { return r.Stats[0].N() }
-
 // Summary returns descriptive statistics for observable i: exact
 // (sort-based, including quantiles and skew) when values were collected,
 // otherwise the streaming moments with approximate P² order statistics

@@ -70,7 +70,7 @@ func TestRunVectorRejectedOnlyBlocks(t *testing.T) {
 	if res.Rejected != 256 {
 		t.Fatalf("rejected %d, want the whole first block (256)", res.Rejected)
 	}
-	if got := res.Accepted(); got != 256 {
+	if got := res.Stats[0].N(); got != 256 {
 		t.Fatalf("accepted %d, want 256", got)
 	}
 	s := res.Summary(0)

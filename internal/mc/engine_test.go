@@ -34,8 +34,8 @@ func TestRunVectorMoments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vr.Accepted() != 20000 || vr.Rejected != 0 {
-		t.Fatalf("accepted %d rejected %d", vr.Accepted(), vr.Rejected)
+	if vr.Stats[0].N() != 20000 || vr.Rejected != 0 {
+		t.Fatalf("accepted %d rejected %d", vr.Stats[0].N(), vr.Rejected)
 	}
 	if m := vr.Stats[0].Mean(); math.Abs(m) > 0.05 {
 		t.Fatalf("obs0 mean %g", m)

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"context"
 	"fmt"
 
 	"mpsram/internal/stats"
@@ -53,4 +54,38 @@ func RecordCountRule(p *ShardPayload) error {
 		}
 	}
 	return nil
+}
+
+// FoldPayload runs every stream of p through the reducer's block-order
+// fold — the merge a replayed stream feeds — whether or not p completes
+// its stream. The payload fuzz target folds every accepted payload, so
+// "decodes" implies "merges".
+func FoldPayload(p *ShardPayload) {
+	for _, ps := range p.streams {
+		if ps.header.Kind == streamPaired {
+			foldPaired(ps.recs, ps.header.Nobs)
+		} else {
+			foldPlain(ps.recs, ps.header.Nobs, ps.header.Collect)
+		}
+	}
+}
+
+// ReplayStreams drives every stream of rp through the engine in reduce
+// mode, as Reduce's re-executed workload does, then checks that the
+// replay was consumed whole.
+func ReplayStreams(rp *Replay) error {
+	for _, st := range rp.streams {
+		h := st.header
+		cfg := Config{Samples: h.Samples, Seed: h.Seed, Collect: h.Collect, Replay: rp}
+		var err error
+		if h.Kind == streamPaired {
+			_, err = RunVectorPaired(context.Background(), cfg, h.Nobs, nil)
+		} else {
+			_, err = RunVectorState(context.Background(), cfg, h.Nobs, nil)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return rp.Done()
 }

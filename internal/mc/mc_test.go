@@ -168,12 +168,12 @@ func TestTdpDistributionHistogram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Total() != len(res.Values) {
-		t.Fatal("histogram lost samples")
+	binned := 0
+	for _, c := range h.Counts {
+		binned += c
 	}
-	u, o := h.Outliers()
-	if u != 0 || o != 0 {
-		t.Fatalf("range should cover all values: %d/%d", u, o)
+	if binned != len(res.Values) {
+		t.Fatalf("range should cover all %d values, bins hold %d", len(res.Values), binned)
 	}
 	// The LE3 tdp distribution is right-skewed (coupling blows up faster
 	// when lines approach than it relaxes when they separate).

@@ -42,8 +42,10 @@ func checkpointPayload(f *testing.F, spec core.RunSpec, shard mc.ShardSpec, stop
 // /v1/shards hands DecodeShardPayload whatever checkpoint bytes a caller
 // sends. Arbitrary bytes must never panic; every payload it accepts must
 // satisfy the record-count rule resume and reduce size their buffers
-// from; and a payload ResumeShardRun accepts must re-encode to exactly
-// the input bytes (the decoder admits one spelling per payload). Seeds
+// from, and must fold through the reducer's merge (through NewReplay and
+// the engine's replay path when it is a complete one-shard run); and a
+// payload ResumeShardRun accepts must re-encode to exactly the input
+// bytes (the decoder admits one spelling per payload). Seeds
 // are real checkpoints: a fig5 collect stream stopped after its first
 // block, and a control-variate mcspice run (paired plus plain streams).
 func FuzzDecodeShardPayload(f *testing.F) {
@@ -58,6 +60,14 @@ func FuzzDecodeShardPayload(f *testing.F) {
 		}
 		if err := mc.RecordCountRule(p); err != nil {
 			t.Fatalf("decoder accepted a record no run produces: %v", err)
+		}
+		// Decodes implies merges: every accepted payload folds, and one
+		// that is a whole single-shard run reduces through NewReplay.
+		// The replay may refuse the payload (every trial rejected, say);
+		// only a panic fails.
+		mc.FoldPayload(p)
+		if rp, err := mc.NewReplay([]*mc.ShardPayload{p}); err == nil {
+			_ = mc.ReplayStreams(rp)
 		}
 		sr, err := mc.ResumeShardRun(mc.ShardSpec{Index: int(index), Count: int(count)}, p)
 		if err != nil {

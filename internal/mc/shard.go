@@ -118,9 +118,6 @@ func ResumeShardRun(spec ShardSpec, p *ShardPayload) (*ShardRun, error) {
 	return sr, nil
 }
 
-// Spec returns the shard coordinates.
-func (sr *ShardRun) Spec() ShardSpec { return sr.spec }
-
 // Frontier reports the capture's overall trial progress: done counts the
 // trials of every recorded block (resumed checkpoints included), total
 // the trials of every begun stream's full block range. Because streams

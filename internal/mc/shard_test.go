@@ -600,9 +600,6 @@ func TestShardFrontierAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sr.Spec() != spec {
-		t.Fatalf("Spec() %+v, want %+v", sr.Spec(), spec)
-	}
 	cfg := Config{Samples: 1100, Seed: 7, Workers: 1, Shard: sr}
 	if _, err := RunVector(context.Background(), cfg, 1, f); err != nil {
 		t.Fatal(err)

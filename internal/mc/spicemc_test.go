@@ -116,7 +116,7 @@ func TestSpiceTdpAcrossSizesMatchesSerialTrialLoop(t *testing.T) {
 		}
 		want = append(want, append([]float64(nil), out...))
 	}
-	if got := res.Accepted(); got != len(want) {
+	if got := res.Stats[0].N(); got != len(want) {
 		t.Fatalf("accepted %d, serial loop accepted %d", got, len(want))
 	}
 	for k := range want {

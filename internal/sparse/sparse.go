@@ -30,11 +30,6 @@ type Matrix struct {
 	Rows [][]Entry
 }
 
-// NewMatrix returns an N×N zero matrix.
-func NewMatrix(n int) *Matrix {
-	return &Matrix{N: n, Rows: make([][]Entry, n)}
-}
-
 // Add accumulates v into element (i, j).
 func (m *Matrix) Add(i, j int, v float64) {
 	if v == 0 {
@@ -50,36 +45,6 @@ func (m *Matrix) Add(i, j int, v float64) {
 	copy(row[k+1:], row[k:])
 	row[k] = Entry{Col: j, Val: v}
 	m.Rows[i] = row
-}
-
-// At returns element (i, j).
-func (m *Matrix) At(i, j int) float64 {
-	row := m.Rows[i]
-	k := sort.Search(len(row), func(k int) bool { return row[k].Col >= j })
-	if k < len(row) && row[k].Col == j {
-		return row[k].Val
-	}
-	return 0
-}
-
-// NNZ returns the number of stored nonzeros.
-func (m *Matrix) NNZ() int {
-	n := 0
-	for _, r := range m.Rows {
-		n += len(r)
-	}
-	return n
-}
-
-// Clone returns a deep copy with fresh storage. Hot loops that refill the
-// same destination repeatedly (the SPICE engine's Newton work matrix)
-// use CopyFrom instead, which reuses the destination's row storage.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.N)
-	for i, r := range m.Rows {
-		c.Rows[i] = append([]Entry(nil), r...)
-	}
-	return c
 }
 
 // Reuse resets m to an n×n zero matrix while retaining the row storage
@@ -99,9 +64,9 @@ func (m *Matrix) Reuse(n int) {
 	m.N = n
 }
 
-// CopyFrom overwrites m with the contents of src, reusing m's row storage.
-// It is the allocation-free counterpart of Clone for matrices that are
-// refilled every iteration (the SPICE engine's Newton work matrix).
+// CopyFrom overwrites m with the contents of src, reusing m's row storage,
+// for matrices that are refilled every iteration (the SPICE engine's
+// Newton work matrix).
 func (m *Matrix) CopyFrom(src *Matrix) {
 	m.Reuse(src.N)
 	for i, r := range src.Rows {
@@ -109,40 +74,12 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 	}
 }
 
-// MulVec computes y = M·x.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	y := make([]float64, m.N)
-	for i, row := range m.Rows {
-		var s float64
-		for _, e := range row {
-			s += e.Val * x[e.Col]
-		}
-		y[i] = s
-	}
-	return y
-}
-
-// Solve performs in-place Gaussian elimination on the matrix and
-// right-hand side b, returning the solution. The matrix is destroyed.
-// Diagonal pivots below tol×(row max) are rejected. It is a convenience
-// wrapper over Solver.Solve with throwaway scratch; hot loops should hold
-// a Solver.
-func (m *Matrix) Solve(b []float64) ([]float64, error) {
-	var s Solver
-	sol, err := s.Solve(m, b)
-	if err != nil {
-		return nil, err
-	}
-	// Detach from the throwaway scratch so the caller owns the result.
-	return append([]float64(nil), sol...), nil
-}
-
-// Solver carries the factorization scratch of Matrix.Solve — the column
-// occupancy lists, the dense scatter accumulator and the solution vector —
-// so a hot loop (the SPICE engine's Newton iterations) can solve many
-// same-size systems without reallocating any of it. The elimination
-// arithmetic is identical to the scratch-free path, so solutions are
-// bit-for-bit the same for the same inputs.
+// Solver carries the factorization scratch of the sparse elimination —
+// the column occupancy lists, the dense scatter accumulator and the
+// solution vector — so a hot loop (the SPICE engine's Newton iterations)
+// can solve many same-size systems without reallocating any of it. Reused
+// scratch never changes the arithmetic, so solutions are bit-for-bit the
+// same as a fresh Solver's for the same inputs.
 //
 // The zero Solver is ready for use. A Solver is not safe for concurrent
 // use.
@@ -343,16 +280,4 @@ func DenseSolve(a [][]float64, b []float64) ([]float64, error) {
 		x[i] = s / a[i][i]
 	}
 	return x, nil
-}
-
-// ToDense expands the sparse matrix, for tests and debugging.
-func (m *Matrix) ToDense() [][]float64 {
-	d := make([][]float64, m.N)
-	for i := range d {
-		d[i] = make([]float64, m.N)
-		for _, e := range m.Rows[i] {
-			d[i][e.Col] = e.Val
-		}
-	}
-	return d
 }

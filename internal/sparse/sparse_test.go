@@ -7,30 +7,81 @@ import (
 	"testing/quick"
 )
 
+// newMatrix returns an n×n zero matrix the way the SPICE engine sizes
+// its own: through Reuse on a zero Matrix.
+func newMatrix(n int) *Matrix {
+	m := new(Matrix)
+	m.Reuse(n)
+	return m
+}
+
+// clone returns a deep copy of m through CopyFrom.
+func clone(m *Matrix) *Matrix {
+	c := new(Matrix)
+	c.CopyFrom(m)
+	return c
+}
+
+// solve runs one elimination on a fresh Solver.
+func solve(m *Matrix, b []float64) ([]float64, error) {
+	var s Solver
+	return s.Solve(m, b)
+}
+
+// at returns element (i, j).
+func at(m *Matrix, i, j int) float64 {
+	for _, e := range m.Rows[i] {
+		if e.Col == j {
+			return e.Val
+		}
+	}
+	return 0
+}
+
+// nnz returns the number of stored nonzeros.
+func nnz(m *Matrix) int {
+	n := 0
+	for _, r := range m.Rows {
+		n += len(r)
+	}
+	return n
+}
+
+// mulVec computes y = M·x.
+func mulVec(m *Matrix, x []float64) []float64 {
+	y := make([]float64, m.N)
+	for i, row := range m.Rows {
+		for _, e := range row {
+			y[i] += e.Val * x[e.Col]
+		}
+	}
+	return y
+}
+
 func TestAddAtNNZ(t *testing.T) {
-	m := NewMatrix(3)
+	m := newMatrix(3)
 	m.Add(0, 0, 2)
 	m.Add(0, 2, 1)
 	m.Add(0, 0, 3) // accumulate
 	m.Add(1, 1, 4)
 	m.Add(2, 2, 0) // zero is dropped
-	if got := m.At(0, 0); got != 5 {
+	if got := at(m, 0, 0); got != 5 {
 		t.Fatalf("At(0,0) = %g", got)
 	}
-	if got := m.At(0, 1); got != 0 {
+	if got := at(m, 0, 1); got != 0 {
 		t.Fatalf("At(0,1) = %g", got)
 	}
-	if m.NNZ() != 3 {
-		t.Fatalf("NNZ = %d", m.NNZ())
+	if nnz(m) != 3 {
+		t.Fatalf("NNZ = %d", nnz(m))
 	}
 }
 
 func TestSolveIdentity(t *testing.T) {
-	m := NewMatrix(4)
+	m := newMatrix(4)
 	for i := 0; i < 4; i++ {
 		m.Add(i, i, 1)
 	}
-	x, err := m.Solve([]float64{1, 2, 3, 4})
+	x, err := solve(m, []float64{1, 2, 3, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +95,7 @@ func TestSolveIdentity(t *testing.T) {
 func TestSolveTridiagonal(t *testing.T) {
 	// The classic RC-ladder pattern: -1, 2, -1.
 	n := 50
-	m := NewMatrix(n)
+	m := newMatrix(n)
 	b := make([]float64, n)
 	for i := 0; i < n; i++ {
 		m.Add(i, i, 2)
@@ -56,7 +107,7 @@ func TestSolveTridiagonal(t *testing.T) {
 		}
 		b[i] = 1
 	}
-	x, err := m.Solve(b)
+	x, err := solve(m, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +124,7 @@ func TestSolveTridiagonal(t *testing.T) {
 // randomDiagDominant builds a random strictly diagonally dominant sparse
 // matrix (the class the SPICE engine produces).
 func randomDiagDominant(rng *rand.Rand, n, extraPerRow int) (*Matrix, [][]float64) {
-	m := NewMatrix(n)
+	m := newMatrix(n)
 	d := make([][]float64, n)
 	for i := range d {
 		d[i] = make([]float64, n)
@@ -112,7 +163,7 @@ func TestSolveMatchesDenseRandom(t *testing.T) {
 			b[i] = rng.NormFloat64()
 		}
 		bCopy := append([]float64(nil), b...)
-		xs, err := m.Solve(b)
+		xs, err := solve(m, b)
 		if err != nil {
 			t.Fatalf("trial %d: sparse: %v", trial, err)
 		}
@@ -134,17 +185,17 @@ func TestSolveResidualProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 4 + r.Intn(40)
 		m, _ := randomDiagDominant(r, n, 1)
-		orig := m.Clone()
+		orig := clone(m)
 		b := make([]float64, n)
 		for i := range b {
 			b[i] = r.NormFloat64()
 		}
 		bOrig := append([]float64(nil), b...)
-		x, err := m.Solve(b)
+		x, err := solve(m, b)
 		if err != nil {
 			return false
 		}
-		res := orig.MulVec(x)
+		res := mulVec(orig, x)
 		for i := range res {
 			if math.Abs(res[i]-bOrig[i]) > 1e-8*(1+math.Abs(bOrig[i])) {
 				return false
@@ -160,17 +211,17 @@ func TestSolveResidualProperty(t *testing.T) {
 }
 
 func TestSolveErrors(t *testing.T) {
-	m := NewMatrix(2)
+	m := newMatrix(2)
 	m.Add(0, 1, 1)
 	m.Add(1, 0, 1)
 	// Zero diagonal → rejected (no pivoting by design).
-	if _, err := m.Solve([]float64{1, 1}); err == nil {
+	if _, err := solve(m, []float64{1, 1}); err == nil {
 		t.Fatal("zero diagonal must error")
 	}
-	m2 := NewMatrix(2)
+	m2 := newMatrix(2)
 	m2.Add(0, 0, 1)
 	m2.Add(1, 1, 1)
-	if _, err := m2.Solve([]float64{1}); err == nil {
+	if _, err := solve(m2, []float64{1}); err == nil {
 		t.Fatal("bad rhs length must error")
 	}
 	if _, err := DenseSolve([][]float64{{0, 1}, {0, 1}}, []float64{1, 1}); err == nil {
@@ -178,38 +229,6 @@ func TestSolveErrors(t *testing.T) {
 	}
 	if _, err := DenseSolve(nil, nil); err == nil {
 		t.Fatal("empty dense must error")
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	m := NewMatrix(2)
-	m.Add(0, 0, 1)
-	m.Add(1, 1, 1)
-	c := m.Clone()
-	c.Add(0, 0, 5)
-	if m.At(0, 0) != 1 || c.At(0, 0) != 6 {
-		t.Fatal("clone not independent")
-	}
-}
-
-func TestMulVec(t *testing.T) {
-	m := NewMatrix(2)
-	m.Add(0, 0, 2)
-	m.Add(0, 1, 1)
-	m.Add(1, 0, -1)
-	m.Add(1, 1, 3)
-	y := m.MulVec([]float64{1, 2})
-	if y[0] != 4 || y[1] != 5 {
-		t.Fatalf("MulVec = %v", y)
-	}
-}
-
-func TestToDense(t *testing.T) {
-	m := NewMatrix(2)
-	m.Add(0, 1, 7)
-	d := m.ToDense()
-	if d[0][1] != 7 || d[0][0] != 0 {
-		t.Fatalf("ToDense = %v", d)
 	}
 }
 
@@ -242,10 +261,10 @@ func TestSolverReuseBitIdenticalToSolve(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		// Same system through the one-shot path and the reused solver.
-		m2 := m.Clone()
+		// Same system through a fresh solver and the reused one.
+		m2 := clone(m)
 		b2 := append([]float64(nil), b...)
-		want, err := m.Solve(b)
+		want, err := solve(m, b)
 		if err != nil {
 			t.Fatalf("trial %d: solve: %v", trial, err)
 		}
@@ -255,7 +274,7 @@ func TestSolverReuseBitIdenticalToSolve(t *testing.T) {
 		}
 		for i := range want {
 			if want[i] != got[i] {
-				t.Fatalf("trial %d (n=%d): x[%d] differs: one-shot %v vs reused solver %v",
+				t.Fatalf("trial %d (n=%d): x[%d] differs: fresh solver %v vs reused solver %v",
 					trial, n, i, want[i], got[i])
 			}
 		}
@@ -265,13 +284,13 @@ func TestSolverReuseBitIdenticalToSolve(t *testing.T) {
 func TestSolverScratchCleanAfterError(t *testing.T) {
 	var s Solver
 	// Singular system: leave a zero pivot at row 1.
-	bad := NewMatrix(2)
+	bad := newMatrix(2)
 	bad.Add(0, 0, 1)
 	if _, err := s.Solve(bad, []float64{1, 1}); err == nil {
 		t.Fatal("expected zero-pivot error")
 	}
 	// The same solver must still produce exact results afterwards.
-	m := NewMatrix(2)
+	m := newMatrix(2)
 	m.Add(0, 0, 2)
 	m.Add(1, 1, 4)
 	x, err := s.Solve(m, []float64{2, 8})
@@ -284,40 +303,40 @@ func TestSolverScratchCleanAfterError(t *testing.T) {
 }
 
 func TestMatrixReuseAndCopyFrom(t *testing.T) {
-	src := NewMatrix(3)
+	src := newMatrix(3)
 	src.Add(0, 0, 2)
 	src.Add(1, 1, 3)
 	src.Add(2, 0, -1)
 	src.Add(2, 2, 5)
 
-	var m Matrix
+	m := new(Matrix)
 	m.CopyFrom(src)
-	if m.N != 3 || m.NNZ() != src.NNZ() {
-		t.Fatalf("CopyFrom: n=%d nnz=%d", m.N, m.NNZ())
+	if m.N != 3 || nnz(m) != nnz(src) {
+		t.Fatalf("CopyFrom: n=%d nnz=%d", m.N, nnz(m))
 	}
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
-			if m.At(i, j) != src.At(i, j) {
-				t.Fatalf("CopyFrom: (%d,%d) = %g want %g", i, j, m.At(i, j), src.At(i, j))
+			if at(m, i, j) != at(src, i, j) {
+				t.Fatalf("CopyFrom: (%d,%d) = %g want %g", i, j, at(m, i, j), at(src, i, j))
 			}
 		}
 	}
 	// Mutating the copy must not touch the source.
 	m.Add(0, 0, 1)
-	if src.At(0, 0) != 2 {
-		t.Fatalf("CopyFrom aliased source: src(0,0) = %g", src.At(0, 0))
+	if at(src, 0, 0) != 2 {
+		t.Fatalf("CopyFrom aliased source: src(0,0) = %g", at(src, 0, 0))
 	}
 	// Shrink, then grow: contents reset to zero either way.
 	m.Reuse(2)
-	if m.N != 2 || m.NNZ() != 0 {
-		t.Fatalf("Reuse(2): n=%d nnz=%d", m.N, m.NNZ())
+	if m.N != 2 || nnz(m) != 0 {
+		t.Fatalf("Reuse(2): n=%d nnz=%d", m.N, nnz(m))
 	}
 	m.Reuse(5)
-	if m.N != 5 || m.NNZ() != 0 {
-		t.Fatalf("Reuse(5): n=%d nnz=%d", m.N, m.NNZ())
+	if m.N != 5 || nnz(m) != 0 {
+		t.Fatalf("Reuse(5): n=%d nnz=%d", m.N, nnz(m))
 	}
 	m.Add(4, 4, 1)
-	if m.At(4, 4) != 1 {
-		t.Fatalf("Reuse(5) then Add: %g", m.At(4, 4))
+	if at(m, 4, 4) != 1 {
+		t.Fatalf("Reuse(5) then Add: %g", at(m, 4, 4))
 	}
 }

@@ -54,16 +54,11 @@ func (e *Engine) breakpoints(tEnd float64) []float64 {
 		}
 	}
 	collect := func(w circuit.Waveform) {
-		switch p := w.(type) {
-		case circuit.Pulse:
+		if p, ok := w.(circuit.Pulse); ok {
 			add(p.Delay)
 			add(p.Delay + p.Rise)
 			add(p.Delay + p.Rise + p.Width)
 			add(p.Delay + p.Rise + p.Width + p.Fall)
-		case circuit.PWL:
-			for _, t := range p.T {
-				add(t)
-			}
 		}
 	}
 	for _, v := range e.ckt.Vs {

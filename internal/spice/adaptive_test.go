@@ -159,16 +159,17 @@ func TestAdaptiveMOSFETColumnAgreesWithFixed(t *testing.T) {
 // overwrite it, so a rejected first step retried from a corrupted state.
 // A first-step rejection needs source movement inside the very first
 // attempt without an intervening breakpoint to clip the step, which only
-// a ramp starting at t = 0 provides (pulse corners all become
-// breakpoints): a PWL drive 1 V → 0 V over one tau, a large initial step
-// and a tight LTE bound force the immediate reject-and-retry.
+// a ramp starting at t = 0 provides (every other pulse corner becomes a
+// breakpoint): a pulse whose fall-from-1 V ramp starts at t = 0 and ends
+// at the stop time tau, a large initial step and a tight LTE bound force
+// the immediate reject-and-retry.
 func TestAdaptiveRejectedFirstStepStateIntact(t *testing.T) {
 	r, c := 1e3, 1e-12
 	tau := r * c
 	n := circuit.New()
 	drv := n.Node("drv")
 	top := n.Node("top")
-	n.AddV("src", drv, circuit.Ground, circuit.PWL{T: []float64{0, tau}, V: []float64{1, 0}})
+	n.AddV("src", drv, circuit.Ground, circuit.Pulse{V0: 1, V1: 0, Rise: tau, Width: tau})
 	n.AddR("r", drv, top, r)
 	n.AddC("c", top, circuit.Ground, c)
 	e, err := New(n, Options{})
@@ -186,7 +187,7 @@ func TestAdaptiveRejectedFirstStepStateIntact(t *testing.T) {
 	n2 := circuit.New()
 	drv2 := n2.Node("drv")
 	top2 := n2.Node("top")
-	n2.AddV("src", drv2, circuit.Ground, circuit.PWL{T: []float64{0, tau}, V: []float64{1, 0}})
+	n2.AddV("src", drv2, circuit.Ground, circuit.Pulse{V0: 1, V1: 0, Rise: tau, Width: tau})
 	n2.AddR("r", drv2, top2, r)
 	n2.AddC("c", top2, circuit.Ground, c)
 	eRef, err := New(n2, Options{Method: BackwardEuler})

@@ -328,13 +328,6 @@ func TestWaveforms(t *testing.T) {
 			t.Fatalf("pulse At(%g) = %g, want %g", c.t, got, c.want)
 		}
 	}
-	pw := circuit.PWL{T: []float64{0, 1, 2}, V: []float64{0, 1, 0}}
-	if pw.At(-1) != 0 || pw.At(0.5) != 0.5 || pw.At(1.5) != 0.5 || pw.At(3) != 0 {
-		t.Fatal("PWL interpolation broken")
-	}
-	if (circuit.PWL{}).At(5) != 0 {
-		t.Fatal("empty PWL must return 0")
-	}
 	if circuit.DC(3).At(99) != 3 {
 		t.Fatal("DC waveform broken")
 	}

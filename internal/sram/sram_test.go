@@ -2,6 +2,7 @@ package sram
 
 import (
 	"math"
+	"regexp"
 	"testing"
 
 	"mpsram/internal/extract"
@@ -75,16 +76,41 @@ func TestSegmentSelection(t *testing.T) {
 	}
 }
 
+// TestLadderConservesTotals sums the bit-line ladder the builder actually
+// stamps (the bl segment resistors and node capacitors) and checks that
+// segment lumping conserves the column's n·Rbl and n·(Cbl+CFE).
 func TestLadderConservesTotals(t *testing.T) {
 	p, cp := nominal(t)
+	blLabel := regexp.MustCompile(`^bl[0-9]+$`)
 	for _, n := range []int{1, 16, 64, 1000, 1024} {
 		for _, opt := range []BuildOptions{{}, {Segments: 7}, {Lumped: true}} {
-			if e := ladderCapError(p, n, cp, opt); e > 1e-12 {
-				t.Errorf("n=%d %+v: ladder capacitance error %g", n, opt, e)
+			col, err := BuildColumn(p, n, cp, opt)
+			if err != nil {
+				t.Fatal(err)
 			}
-			rTot, _ := LadderTotals(p, n, cp, opt)
-			if math.Abs(rTot-float64(n)*cp.Rbl) > 1e-9*rTot {
-				t.Errorf("n=%d %+v: ladder resistance %g, want %g", n, opt, rTot, float64(n)*cp.Rbl)
+			var rTot, cTot float64
+			var nr, nc int
+			for _, r := range col.Netlist.Rs {
+				if blLabel.MatchString(r.Label) {
+					rTot += r.R
+					nr++
+				}
+			}
+			for _, c := range col.Netlist.Cs {
+				if blLabel.MatchString(c.Label) {
+					cTot += c.C
+					nc++
+				}
+			}
+			if segs := opt.segments(n); nr != segs || nc != segs+1 {
+				t.Fatalf("n=%d %+v: %d bl resistors and %d bl capacitors, want %d and %d",
+					n, opt, nr, nc, segs, segs+1)
+			}
+			if want := float64(n) * cp.Rbl; math.Abs(rTot-want) > 1e-9*want {
+				t.Errorf("n=%d %+v: ladder resistance %g, want %g", n, opt, rTot, want)
+			}
+			if want := float64(n) * (cp.Cbl + CFE(p.FEOL)); math.Abs(cTot-want) > 1e-12*want {
+				t.Errorf("n=%d %+v: ladder capacitance %g, want %g", n, opt, cTot, want)
 			}
 		}
 	}

@@ -132,7 +132,12 @@ func (e P2) AppendBinary(b []byte) []byte {
 	return b
 }
 
-// Decode consumes one P2 encoding from the reader.
+// Decode consumes one P2 encoding from the reader. It refuses a sketch
+// that no sequence of Add and Merge produces, because Merge searches and
+// indexes the markers: an unformed sketch (n < 5) must hold finite
+// values; a formed one finite, non-decreasing heights and finite,
+// non-decreasing positions within [1, n]; and every sketch NewP2's
+// increments for its target p.
 func (e *P2) Decode(r *CodecReader) {
 	if v := r.U8("P2"); r.err == nil && v != p2CodecVersion {
 		r.err = fmt.Errorf("stats: P2 codec version %d, want %d", v, p2CodecVersion)
@@ -152,6 +157,39 @@ func (e *P2) Decode(r *CodecReader) {
 	for i := range e.inc {
 		e.inc[i] = r.F64("P2")
 	}
+	if r.err == nil {
+		r.err = e.checkMarkers()
+	}
+}
+
+// checkMarkers is Decode's acceptance rule for the decoded fields.
+func (e *P2) checkMarkers() error {
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	switch {
+	case !(e.p > 0 && e.p < 1):
+		return fmt.Errorf("stats: P2 sketch targets p=%g outside (0,1)", e.p)
+	case e.n < 0:
+		return fmt.Errorf("stats: P2 sketch counts %d observations", e.n)
+	case e.inc != NewP2(e.p).inc:
+		return fmt.Errorf("stats: P2 sketch increments %v are not those of p=%g", e.inc, e.p)
+	}
+	if e.n < 5 {
+		for _, v := range e.q[:e.n] {
+			if !finite(v) {
+				return fmt.Errorf("stats: unformed P2 sketch holds %v", e.q[:e.n])
+			}
+		}
+		return nil
+	}
+	for i := range e.q {
+		if !finite(e.q[i]) || i > 0 && e.q[i] < e.q[i-1] {
+			return fmt.Errorf("stats: P2 marker heights %v are not finite and non-decreasing", e.q)
+		}
+		if !(e.pos[i] >= 1 && e.pos[i] <= float64(e.n)) || i > 0 && e.pos[i] < e.pos[i-1] {
+			return fmt.Errorf("stats: P2 marker positions %v are not non-decreasing within [1,%d]", e.pos, e.n)
+		}
+	}
+	return nil
 }
 
 // AppendBinary appends the versioned encoding of c to b.

@@ -95,6 +95,56 @@ func TestP2CodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestP2CodecRejectsImpossibleMarkers: Decode refuses every sketch whose
+// markers no sequence of Add and Merge produces. Merge binary-searches
+// the heights and interpolates between positions, so such a sketch must
+// not reach the reducer: merging the first case, a median sketch with
+// heights {5, NaN, 1, 0, 9}, indexes out of range.
+func TestP2CodecRejectsImpossibleMarkers(t *testing.T) {
+	formed := NewP2(0.5)
+	for i := 0; i < 9; i++ {
+		formed.Add(float64(i))
+	}
+	unformed := NewP2(0.5)
+	unformed.Add(2)
+	unformed.Add(1)
+	nan := math.NaN()
+	for _, c := range []struct {
+		name string
+		base P2
+		edit func(*P2)
+	}{
+		{"NaN and unordered heights", formed, func(e *P2) { e.q = [5]float64{5, nan, 1, 0, 9} }},
+		{"decreasing heights", formed, func(e *P2) { e.q[3] = e.q[2] - 1 }},
+		{"infinite height", formed, func(e *P2) { e.q[4] = math.Inf(1) }},
+		{"NaN position", formed, func(e *P2) { e.pos[2] = nan }},
+		{"position below 1", formed, func(e *P2) { e.pos[0] = 0 }},
+		{"position beyond n", formed, func(e *P2) { e.pos[4] = float64(e.n) + 1 }},
+		{"decreasing positions", formed, func(e *P2) { e.pos[1], e.pos[2] = e.pos[2], e.pos[1] }},
+		{"foreign increments", formed, func(e *P2) { e.inc = NewP2(0.95).inc }},
+		{"unformed NaN value", unformed, func(e *P2) { e.q[1] = nan }},
+		{"unformed foreign increments", unformed, func(e *P2) { e.inc[4] = 2 }},
+		{"target outside (0,1)", formed, func(e *P2) { e.p = 1.5 }},
+		{"negative count", formed, func(e *P2) { e.n = -1 }},
+	} {
+		e := c.base
+		c.edit(&e)
+		if err := decodeAll(e.AppendBinary(nil), new(P2).Decode); err == nil {
+			t.Errorf("%s: decoded %+v", c.name, e)
+		}
+	}
+	// The sketches Add and Merge produce still decode, and merge.
+	merged := formed
+	merged.Merge(unformed)
+	for _, e := range []P2{NewP2(0.5), unformed, formed, merged} {
+		var got P2
+		if err := decodeAll(e.AppendBinary(nil), got.Decode); err != nil {
+			t.Fatalf("legitimate sketch %+v refused: %v", e, err)
+		}
+		got.Merge(formed)
+	}
+}
+
 func TestControlVariateCodecRoundTrip(t *testing.T) {
 	var c ControlVariate
 	for i := 0; i < 64; i++ {

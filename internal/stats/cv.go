@@ -56,14 +56,6 @@ func (c *ControlVariate) Primary() Welford { return c.y }
 // Control returns the accumulated moments of the control observable.
 func (c *ControlVariate) Control() Welford { return c.x }
 
-// Cov returns the sample covariance (n−1 denominator).
-func (c *ControlVariate) Cov() float64 {
-	if c.y.n < 2 {
-		return 0
-	}
-	return c.cxy / float64(c.y.n-1)
-}
-
 // Beta returns the regression coefficient β̂ = cov(y,x)/var(x), the
 // optimal control-variate multiplier estimated from the paired stream.
 // It is 0 while the control has no spread (β is then unidentifiable and

@@ -60,7 +60,7 @@ func TestControlVariateAgainstExact(t *testing.T) {
 		{"meanX", px.Mean(), meanX},
 		{"varY", py.Std() * py.Std(), varY},
 		{"varX", px.Std() * px.Std(), varX},
-		{"cov", cv.Cov(), cov},
+		{"cov", cv.cxy / float64(cv.N()-1), cov},
 		{"beta", cv.Beta(), cov / varX},
 		{"corr", cv.Corr(), cov / math.Sqrt(varY*varX)},
 		{"resid", cv.ResidualVar(), varY - cov*cov/varX},
@@ -97,7 +97,7 @@ func TestControlVariateAgainstExact(t *testing.T) {
 // → corrected estimators degrade to the plain ones).
 func TestControlVariateDegenerate(t *testing.T) {
 	var cv ControlVariate
-	if cv.N() != 0 || cv.Beta() != 0 || cv.Corr() != 0 || cv.Cov() != 0 ||
+	if cv.N() != 0 || cv.Beta() != 0 || cv.Corr() != 0 ||
 		cv.ResidualVar() != 0 || cv.VarianceReduction() != 1 || cv.EffectiveN() != 0 {
 		t.Fatal("zero accumulator not inert")
 	}

@@ -102,7 +102,7 @@ func FuzzControlVariate(f *testing.F) {
 		}{
 			{"meanY", mpy.Mean(), spy.Mean()},
 			{"meanX", mpx.Mean(), spx.Mean()},
-			{"cov", merged.Cov(), single.Cov()},
+			{"comoment", merged.cxy, single.cxy},
 			{"beta", merged.Beta(), single.Beta()},
 			{"resid", merged.ResidualVar(), single.ResidualVar()},
 		}
@@ -129,7 +129,7 @@ func FuzzControlVariate(f *testing.F) {
 				struct {
 					name     string
 					got, ref float64
-				}{"exact cov", merged.Cov(), cov},
+				}{"exact cov", merged.cxy / float64(merged.N()-1), cov},
 			)
 		}
 		for _, c := range checks {

@@ -180,7 +180,6 @@ type Histogram struct {
 	Counts []int
 	under  int
 	over   int
-	total  int
 }
 
 // NewHistogram builds a histogram over [lo, hi) with the given bin count.
@@ -193,7 +192,6 @@ func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
 
 // Add bins a value (out-of-range values are tallied separately).
 func (h *Histogram) Add(x float64) {
-	h.total++
 	switch {
 	case x < h.Lo:
 		h.under++
@@ -207,12 +205,6 @@ func (h *Histogram) Add(x float64) {
 		h.Counts[i]++
 	}
 }
-
-// Total returns the number of values added (including out-of-range).
-func (h *Histogram) Total() int { return h.total }
-
-// Outliers returns the under/over-range tallies.
-func (h *Histogram) Outliers() (under, over int) { return h.under, h.over }
 
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {

@@ -147,13 +147,6 @@ func TestHistogram(t *testing.T) {
 	for _, v := range []float64{0, 1, 2.5, 9.999, -1, 10, 15} {
 		h.Add(v)
 	}
-	if h.Total() != 7 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	u, o := h.Outliers()
-	if u != 1 || o != 2 {
-		t.Fatalf("outliers %d/%d", u, o)
-	}
 	if h.Counts[0] != 2 || h.Counts[1] != 1 || h.Counts[4] != 1 {
 		t.Fatalf("counts %v", h.Counts)
 	}
@@ -161,7 +154,7 @@ func TestHistogram(t *testing.T) {
 		t.Fatalf("bin center %g", h.BinCenter(0))
 	}
 	out := h.Render(20)
-	if !strings.Contains(out, "#") || !strings.Contains(out, "outliers") {
+	if !strings.Contains(out, "#") || !strings.Contains(out, "(outliers: 1 below, 2 above)") {
 		t.Fatalf("render: %q", out)
 	}
 	// Render with a silly width still works.

@@ -199,9 +199,8 @@ func (c Config) workers() int {
 // Result is an executed plan: a memo of every simulated transient, which
 // the figure and table drivers consume as views.
 type Result struct {
-	td  map[Point]float64
-	wc  map[litho.Option]extract.WorstCaseResult
-	nom sram.CellParasitics
+	td map[Point]float64
+	wc map[litho.Option]extract.WorstCaseResult
 }
 
 // Td returns the simulated read time of point p, if it was planned.
@@ -235,12 +234,6 @@ func (r *Result) WorstCase(o litho.Option) (extract.WorstCaseResult, bool) {
 	return wc, ok
 }
 
-// Nominal returns the nominal per-cell parasitics of the sweep's process.
-func (r *Result) Nominal() sram.CellParasitics { return r.nom }
-
-// Jobs returns the number of unique transients the sweep ran.
-func (r *Result) Jobs() int { return len(r.td) }
-
 // Run executes the plan's deduplicated job set and returns the memoized
 // results. The shared inputs — the nominal parasitics and one worst-case
 // corner search per option — are resolved once before the pool starts;
@@ -264,9 +257,8 @@ func Run(ctx context.Context, env Env, plan *Plan, cfg Config) (*Result, error) 
 		return nil, fmt.Errorf("sweep: nominal extraction (%s): %w", env.Proc.Name, err)
 	}
 	res := &Result{
-		td:  make(map[Point]float64, plan.Len()),
-		wc:  make(map[litho.Option]extract.WorstCaseResult),
-		nom: nom,
+		td: make(map[Point]float64, plan.Len()),
+		wc: make(map[litho.Option]extract.WorstCaseResult),
 	}
 	for _, o := range plan.options() {
 		wc, err := extract.WorstCase(env.Proc, o, env.Cap)

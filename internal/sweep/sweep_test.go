@@ -82,15 +82,12 @@ func TestRunMatchesSerialOneShotPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Jobs() != len(testSizes)*(1+len(litho.Options)) {
-		t.Fatalf("jobs run %d", res.Jobs())
+	if len(res.td) != len(testSizes)*(1+len(litho.Options)) {
+		t.Fatalf("jobs run %d", len(res.td))
 	}
 	nom, err := sram.NominalParasitics(env.Proc, env.Cap)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Nominal() != nom {
-		t.Fatalf("nominal parasitics %+v, want %+v", res.Nominal(), nom)
 	}
 	read := func(n int, cp sram.CellParasitics) float64 {
 		t.Helper()
@@ -142,8 +139,8 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Jobs() != base.Jobs() {
-			t.Fatalf("workers=%d: job count %d vs %d", workers, res.Jobs(), base.Jobs())
+		if len(res.td) != len(base.td) {
+			t.Fatalf("workers=%d: job count %d vs %d", workers, len(res.td), len(base.td))
 		}
 		for p, want := range base.td {
 			if got := res.td[p]; got != want {
@@ -233,9 +230,6 @@ func TestResultAccessorsAndPointStrings(t *testing.T) {
 	res, err := Run(context.Background(), testEnv(), pl, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Nominal().Rbl <= 0 {
-		t.Fatal("nominal parasitics missing")
 	}
 	if _, ok := res.TdNom(16); !ok {
 		t.Fatal("nominal td missing")

@@ -12,38 +12,11 @@ import (
 	"math"
 )
 
-// SI prefixes as multipliers on base units.
-const (
-	Tera  = 1e12
-	Giga  = 1e9
-	Mega  = 1e6
-	Kilo  = 1e3
-	Milli = 1e-3
-	Micro = 1e-6
-	Nano  = 1e-9
-	Pico  = 1e-12
-	Femto = 1e-15
-	Atto  = 1e-18
-)
+// Nano is the SI nano prefix as a multiplier on base units.
+const Nano = 1e-9
 
-// Physical constants.
-const (
-	// Eps0 is the vacuum permittivity in F/m.
-	Eps0 = 8.8541878128e-12
-	// RhoCuBulk is the bulk resistivity of copper at room temperature
-	// in ohm·m. Scaled interconnects use a larger effective resistivity
-	// (grain-boundary and surface scattering, barrier sharing); the
-	// technology stack carries its own effective value.
-	RhoCuBulk = 1.72e-8
-	// BoltzmannQ is kT/q at 300 K in volts (thermal voltage).
-	BoltzmannQ = 0.025852
-)
-
-// Metres converts a value expressed in nanometres to metres.
-func Metres(nm float64) float64 { return nm * Nano }
-
-// Nanometres converts a value in metres to nanometres.
-func Nanometres(m float64) float64 { return m / Nano }
+// Eps0 is the vacuum permittivity in F/m.
+const Eps0 = 8.8541878128e-12
 
 // prefix maps exponent/3 to the SI prefix letter.
 var prefixes = map[int]string{
@@ -66,32 +39,6 @@ func Format(v float64, unit string) string {
 	}
 	scaled := v / math.Pow(1000, float64(e))
 	return fmt.Sprintf("%.3f%s%s", scaled, prefixes[e], unit)
-}
-
-// FormatSI is Format with a space between number and unit.
-func FormatSI(v float64, unit string) string {
-	s := Format(v, "")
-	return s + " " + unit
-}
-
-// Percent renders a ratio r (e.g. 1.0616) as a signed percentage delta
-// string such as "+6.16%".
-func Percent(r float64) string {
-	return fmt.Sprintf("%+.2f%%", (r-1)*100)
-}
-
-// PercentValue renders a percentage value p (already in percent units).
-func PercentValue(p float64) string { return fmt.Sprintf("%+.2f%%", p) }
-
-// Clamp limits v to [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // ApproxEqual reports whether a and b agree within relative tolerance rel
